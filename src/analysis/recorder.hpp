@@ -82,8 +82,8 @@ enum class RecEvent : std::uint16_t {
   drain_rx = 31,           // peer announced drain; chan=peer, a=retry-after ns
   hdr_version_reject = 32, // decode refused a version; code=HdrDecode, a=len
   proto_negotiated = 33,   // code=effective version, a=features, b=peer range
-  batch_flush = 34,        // chained doorbell; code=WRs posted, a=bytes,
-                           // b=(deferred<<16)|dropped for that flush
+  batch_flush = 34,        // reserved: chained doorbell (no longer logged;
+                           // kept so older dumps still decode)
   // End-to-end integrity plane (e2e_crc).
   crc_fail_rx = 35,        // frame dropped on CRC mismatch; seq, a=payload_len
   integrity_nak_tx = 36,   // receiver NAK'd a corrupted frame; seq
@@ -92,7 +92,7 @@ enum class RecEvent : std::uint16_t {
                               // code=retry count for the NAK'd entry
   integrity_exhausted = 39,   // retry budget spent; seq, code=budget
   corruption_storm = 40,   // storm detector graded a peer; chan=peer,
-                           // a=CRC failures in the scan
+                           // a=CRC failures in the last four scans
 };
 
 /// Why a dump was cut. Written as Rec::code of the `trigger` record and as

@@ -187,22 +187,19 @@ RunReport Runner::run() {
       cfg.proto_features = 0;
     }
     if (s_.params.batch_shape > 0) {
-      // Batching shape: every node runs a different point in the knob
-      // space — chained vs single-WR posting, inline on/off/small, poll-end
-      // flush vs schedule_after(0) fallback — so one sweep covers the whole
-      // matrix and mixed pairs (batching talker, non-batching listener)
-      // exist by construction. The draw is a pure function of
-      // (seed, batch_shape, node): replay files pin it.
+      // Batching shape: every node draws its own inline_max (off, small,
+      // default), so inline talkers and staged-copy listeners meet in one
+      // run. The draw is a pure function of (seed, batch_shape, node):
+      // replay files pin it. It reads bits 8+ of the hash, as it did when
+      // the low bits also drew WR-chaining knobs, so older replays of
+      // this shape still draw the same inline_max.
       std::uint64_t h = s_.seed ^ (0xba7c40ULL + s_.params.batch_shape);
       h ^= (static_cast<std::uint64_t>(n) + 1) * 0x9e3779b97f4a7c15ULL;
       h ^= h >> 29;
       h *= 0xbf58476d1ce4e5b9ULL;
       h ^= h >> 32;
-      static constexpr std::uint32_t kWrs[] = {1, 2, 4, 8, 16};
       static constexpr std::uint32_t kInline[] = {0, 64, 256};
-      cfg.tx_batch_max_wrs = kWrs[h % 5];
       cfg.inline_max = kInline[(h >> 8) % 3];
-      cfg.tx_batch_flush_on_poll_end = ((h >> 16) & 1) != 0;
     }
     if (s_.params.corruption_shape > 0) {
       // Corruption shape: ~3/4 of nodes arm the integrity plane, the rest
@@ -744,16 +741,6 @@ void Runner::check_balance() {
                              ctx.node(), ctx.outstanding_wrs(),
                              ctx.deferred_wr_count()));
     }
-    // Oracle 14 terminal form: with every channel closed, no WR may still
-    // be parked in a batch accumulator — an unflushed chain is a lost
-    // doorbell and, one hop later, lost messages.
-    if (ctx.batch_pending() != 0) {
-      log_.add(now(), strfmt("doorbell batch not flushed on node %u: %llu "
-                             "WRs still parked in accumulators",
-                             ctx.node(),
-                             static_cast<unsigned long long>(
-                                 ctx.batch_pending())));
-    }
     const rnic::Rnic& nic = cluster_->rnic(static_cast<net::NodeId>(i));
     if (nic.num_qps() != ctx.qp_cache().size()) {
       log_.add(now(), strfmt("QP balance on node %u: %zu live QPs vs %zu "
@@ -789,10 +776,6 @@ void Runner::finish_report() {
     rep_.drains_started += c->stats().drains_started;
     rep_.drains_completed += c->stats().drains_completed;
     rep_.lifecycle_rejects += c->stats().lifecycle_rejects;
-    rep_.batch_accumulated += c->batch_accumulated();
-    rep_.batch_posted += c->batch_posted();
-    rep_.batch_deferred += c->batch_deferred();
-    rep_.batch_dropped += c->batch_dropped();
     for (core::Channel* ch : c->channels()) {
       rep_.drain_recovery_parks += ch->stats().drain_recovery_parks;
       rep_.inline_sends += ch->stats().inline_sends;

@@ -261,32 +261,6 @@ void LiveOracle::observe(Nanos now) {
                             static_cast<unsigned long long>(
                                 ctx->health().stats().drain_violations)));
     }
-    // Oracle 14: doorbell-batch conservation. Every WR that ever entered a
-    // batch accumulator must be accounted for: rung through a doorbell,
-    // parked on the flow-control deferred queue, or dropped with a dead /
-    // purged channel. An imbalance means a chain was lost in the
-    // accumulator (messages that never hit the wire) or double-posted
-    // (duplicate delivery one hop later).
-    if (!batch_violation_reported_ &&
-        ctx->batch_accumulated() !=
-            ctx->batch_posted() + ctx->batch_deferred() +
-                ctx->batch_dropped() + ctx->batch_pending()) {
-      batch_violation_reported_ = true;
-      log_->add(now, strfmt("batch conservation broken on node %u: "
-                            "accumulated %llu != posted %llu + deferred %llu "
-                            "+ dropped %llu + pending %llu",
-                            ctx->node(),
-                            static_cast<unsigned long long>(
-                                ctx->batch_accumulated()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_posted()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_deferred()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_dropped()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_pending())));
-    }
     // Oracle 12: breaker consistency — no CM connect attempt ever passed a
     // closed gate (the HealthMonitor counts them at the resume choke point).
     if (!breaker_violation_reported_ &&

@@ -27,10 +27,8 @@
 //      `draining`, never suspect/dead, and no breaker opens against it
 //      while its announced window lasts — leaving is not failing
 //                                                  (LiveOracle, continuous)
-//  14. doorbell-batch conservation: every WR that entered a batch
-//      accumulator is posted, deferred to flow control, or dropped with
-//      its channel — accumulated == posted + deferred + dropped + pending
-//      at every quiescent point               (LiveOracle, continuous)
+//  14. retired (doorbell-batch conservation; the WR chaining it guarded
+//      was removed — the number is not reused)
 //
 // Continuous oracles run from the engine's post-event hook, i.e. at every
 // quiescent point between simulation events — the strongest observation
@@ -139,7 +137,6 @@ class LiveOracle {
   bool false_dead_reported_ = false;
   bool breaker_violation_reported_ = false;
   bool drain_violation_reported_ = false;
-  bool batch_violation_reported_ = false;
   std::uint64_t observations_ = 0;
 };
 

@@ -100,8 +100,8 @@ Schedule generate_schedule(std::uint64_t seed, ScheduleParams params) {
     if (op.kind == OpKind::send || op.kind == OpKind::call) {
       if (params.batch_shape > 0 && rng.next_below(100) < 80) {
         // Batching shape: bias toward inline-eligible eager sizes
-        // (straddling the default inline_max = 256) so multi-WR chains
-        // actually form and the inline path carries real traffic.
+        // (straddling the default inline_max = 256) so the inline path
+        // carries real traffic.
         static const std::uint32_t kSmall[] = {0,   1,   63,  64, 65,
                                                128, 255, 256, 257};
         op.size = kSmall[rng.next_below(9)];
@@ -184,10 +184,9 @@ Schedule generate_schedule(std::uint64_t seed, ScheduleParams params) {
     }
   }
   if (params.batch_shape > 0) {
-    // Mid-chain kills: a qp_kill ~300 ns after a send lands inside the
-    // send-path delay / accumulator window, so whole chains die between
-    // accumulation and doorbell — the conservation oracle (14) must still
-    // balance every WR as posted, deferred or dropped.
+    // Mid-send kills: a qp_kill ~300 ns after a send lands inside the
+    // send-path delay, so WRs die between framing and doorbell — delivery
+    // must stay exactly-once across the replay.
     std::uint32_t added = 0;
     for (const Op& op : s.ops) {
       if (op.kind != OpKind::send) continue;

@@ -104,13 +104,12 @@ struct ScheduleParams {
   // (the "old build"), odd hosts negotiate down to v1 on mixed pairs —
   // rolling-upgrade conformance. Off = whole cluster at the current max.
   bool mixed_versions = false;
-  // Batching shape (PR 8). Nonzero skews the workload toward small eager
-  // sends (chains actually form), randomizes the batching/inline knobs
-  // per node (tx_batch_max_wrs in {1,2,4,8,16}, inline_max in {0,64,256},
-  // alternating poll-end flush) and injects qp_kill faults shortly after
-  // send bursts so chains die mid-flight — the conservation oracle (14)
-  // must still balance. The value seeds the per-node knob draw so replay
-  // files pin it. 0 = off (legacy replay files decode to 0).
+  // Batching shape. Nonzero skews the workload toward small eager sends
+  // (straddling the inline boundary), randomizes inline_max per node (0,
+  // 64 or 256) and injects qp_kill faults shortly after send bursts so
+  // WRs die between framing and doorbell — delivery must stay exactly-once.
+  // The value seeds the per-node draw so replay files pin it. 0 = off
+  // (legacy replay files decode to 0).
   std::uint32_t batch_shape = 0;
   // Corruption shape (PR 10). Nonzero boosts the ingress/egress-corrupt
   // share of the fault draw AND randomizes per-node `e2e_crc` (~3/4 of

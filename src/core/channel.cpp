@@ -232,14 +232,13 @@ bool Channel::emit_data(PendingSend& p) {
   const Config& cfg = ctx_.config();
   const Nanos now = ctx_.engine().now();
   const std::uint32_t len = static_cast<std::uint32_t>(p.payload.size());
-  const bool large =
-      !tx_override_ && (len > cfg.small_msg_size || p.zc_block.valid());
   // pump_tx guarantees window space, so the push below lands on this seq.
   const Seq seq = swin_.next_seq();
 
-  WireHeader hdr;
+  TxEntry e;
+  WireHeader& hdr = e.hdr;
   hdr.version = proto_version_;
-  hdr.flags = p.flags | (large ? kFlagLarge : 0);
+  hdr.flags = p.flags;
   hdr.seq = seq;
   hdr.rpc_id = p.rpc_id;
   hdr.payload_len = len;
@@ -269,50 +268,11 @@ bool Channel::emit_data(PendingSend& p) {
                        : ctx_.trace_epoch() ^ (id_ << 24) ^ seq;
   }
 
-  // Inline eligibility (IBV_SEND_INLINE): small eager payloads ride in the
-  // WQE itself — no MemCache staging block to allocate or copy into, and
-  // no tx DMA stage at the NIC. Bounded by both our policy knob and the
-  // NIC's inline capacity (the wire message includes the header).
-  const bool use_inline =
-      !tx_override_ && !large && cfg.inline_max > 0 && len <= cfg.inline_max &&
-      hdr.wire_size() + len <= ctx_.nic().config().max_inline_data;
-
-  // Allocate everything up front: a failed allocation must leave the
-  // message queued and the window/ack state untouched so the mem-retry
-  // timer can try again (the old path failed the whole channel here).
-  MemBlock payload_block;
-  MemBlock wire_block;
-  std::uint32_t wire_len = 0;
-  if (!tx_override_ && !use_inline) {
-    if (large) {
-      payload_block = p.zc_block;
-      if (!payload_block.valid()) {
-        payload_block = ctx_.data_cache_.alloc(len);
-        if (!payload_block.valid()) return false;
-      }
-      hdr.rv_addr = payload_block.addr;
-      hdr.rv_rkey = payload_block.rkey;
-    }
-    wire_len = hdr.wire_size() + (large ? 0 : len);
-    wire_block = ctx_.ctrl_cache_.alloc(wire_len);
-    if (!wire_block.valid()) {
-      if (payload_block.valid() && !p.zc_block.valid()) {
-        ctx_.data_cache_.free(payload_block);
-      }
-      return false;
-    }
+  if (p.zc_block.valid()) {
+    e.payload_block = p.zc_block;  // freed on ack, like a staged copy
+  } else {
+    e.payload = p.payload;
   }
-
-  // Point of no return: consume the window slot and the pending ack.
-  TxEntry entry;
-  entry.t_queued = now;
-  entry.flags = hdr.flags;
-  swin_.push(std::move(entry));
-  TxEntry* ent = swin_.find(seq);
-
-  hdr.ack = rwin_.ack_to_send();
-  rwin_.note_ack_sent();
-
   if (crc_on()) {
     // Whole-message payload CRC (not per-fragment): one value covers the
     // eager copy, the WQE-inline bytes and a rendezvous pull alike, so the
@@ -320,107 +280,156 @@ bool Channel::emit_data(PendingSend& p) {
     // payloads have no bytes to cover — the 0 sentinel tells the receiver
     // to skip payload verification (header integrity still applies).
     hdr.crc_present = true;
-    if (len > 0) {
-      const std::uint8_t* src = nullptr;
-      if (p.zc_block.valid()) {
-        src = ctx_.data_cache_.data(p.zc_block);
-      } else if (!p.payload.is_synthetic()) {
-        src = p.payload.data();
-      }
-      if (src) hdr.payload_crc = crc32c(src, len);
+    if (const std::uint8_t* src = payload_src(e); src && len > 0) {
+      hdr.payload_crc = crc32c(src, len);
     }
   }
 
+  // A failed staging allocation leaves the message queued and the
+  // window/ack state untouched so the mem-retry timer can try again.
+  const std::optional<Shape> shape = frame(e);
+  if (!shape) return false;
+  swin_.push(std::move(e));
+
   ++stats_.msgs_tx;
   stats_.bytes_tx += len;
+  if (*shape == Shape::inline_wqe) ++stats_.eager_copies_avoided;
+  if (*shape == Shape::rendezvous) ++stats_.large_msgs_tx;
   last_tx_ = now;
+  const WireHeader& sent = swin_.find(seq)->hdr;
   if (ctx_.recorder().sample(stats_.msgs_tx)) {
-    record(analysis::RecEvent::msg_tx_sample, hdr.flags, seq, len);
+    record(analysis::RecEvent::msg_tx_sample, sent.flags, seq, len);
   }
 
   if (traced && ctx_.span_sink()) {
     SpanPostEvent ev;
-    ev.trace_id = hdr.trace_id;
+    ev.trace_id = sent.trace_id;
     ev.channel_id = id_;
     ev.node = ctx_.node();
     ev.peer = peer_;
-    ev.t_post = hdr.t_send;
-    // The WR reaches the NIC after the software send path; post_wire
+    ev.t_post = sent.t_send;
+    // The WR reaches the NIC after the software send path; post_data
     // schedules it with exactly this cost (the mock path posts inline).
     Nanos sw_cost = cfg.send_path_overhead;
     if (cfg.reqrsp_mode) sw_cost += cfg.trace_overhead;
-    ev.t_wire = hdr.t_send + (tx_override_ ? 0 : sw_cost);
+    ev.t_wire = sent.t_send + (*shape == Shape::mock ? 0 : sw_cost);
     ev.bytes = len;
     ev.is_rpc_req = (p.flags & kFlagRpcReq) != 0;
     ev.is_rpc_rsp = (p.flags & kFlagRpcRsp) != 0;
     ctx_.span_sink()->on_span_post(ev);
   }
-
-  if (tx_override_) {
-    // Mock transport: whole message inline over the alternate stream. The
-    // entry keeps the header and payload so recovery can replay it over
-    // either transport.
-    ent->hdr = hdr;
-    ent->payload_block = p.zc_block;  // freed on ack, like the RDMA path
-    if (!p.zc_block.valid()) ent->inline_copy = p.payload;
-    Buffer wire = Buffer::make(hdr.wire_size() + len);
-    encode_stamped(hdr, wire.data());
-    if (len > 0) {
-      std::uint8_t* dst = wire.data() + hdr.wire_size();
-      if (p.zc_block.valid()) {
-        if (const std::uint8_t* src = ctx_.data_cache_.data(p.zc_block)) {
-          std::memcpy(dst, src, len);
-        }
-      } else if (p.payload.data()) {
-        std::memcpy(dst, p.payload.data(), len);
-      }
-    }
-    ++stats_.mock_tx;
-    tx_override_(std::move(wire));
-    return true;
-  }
-
-  if (!large) {
-    if (use_inline) {
-      ent->hdr = hdr;
-      ent->inline_copy = p.payload;  // retransmit source; no wire block
-      ++stats_.inline_sends;
-      ++stats_.eager_copies_avoided;
-      post_wire_inline(hdr, p.payload);
-      return true;
-    }
-    std::uint8_t* dst = ctx_.ctrl_cache_.data(wire_block);
-    encode_stamped(hdr, dst);
-    if (len > 0 && p.payload.data()) {
-      std::memcpy(dst + hdr.wire_size(), p.payload.data(), len);
-    }
-    ent->hdr = hdr;
-    ent->wire_block = wire_block;
-    ent->wire_len = wire_len;
-    post_wire(hdr, wire_block, wire_len);
-    return true;
-  }
-
-  // Rendezvous: park the payload in registered memory and send only the
-  // descriptor; the receiver pulls with RDMA Read (§IV-C).
-  ++stats_.large_msgs_tx;
-  if (!p.zc_block.valid()) {
-    if (std::uint8_t* dst = ctx_.data_cache_.data(payload_block);
-        dst && p.payload.data()) {
-      std::memcpy(dst, p.payload.data(), len);
-    }
-  }
-  encode_stamped(hdr, ctx_.ctrl_cache_.data(wire_block));
-  ent->hdr = hdr;
-  ent->wire_block = wire_block;
-  ent->payload_block = payload_block;
-  ent->wire_len = wire_len;
-  post_wire(hdr, wire_block, wire_len);
   return true;
 }
 
-void Channel::post_wire(const WireHeader& hdr, MemBlock block,
-                        std::uint32_t len) {
+std::optional<Channel::Shape> Channel::frame(TxEntry& e) {
+  const Config& cfg = ctx_.config();
+  WireHeader hdr = e.hdr;
+  const std::uint32_t len = hdr.payload_len;
+
+  // Pick the shape; staging memory is the only thing that can fail, so it
+  // is allocated before any send state moves.
+  Shape shape;
+  if (tx_override_) {
+    shape = Shape::mock;
+  } else if (e.wire_block.valid()) {
+    // Replay: the staged wire bytes survive in the control cache (and a
+    // rendezvous source until the ack; MRs outlive the QP).
+    shape = hdr.has(kFlagLarge) ? Shape::rendezvous : Shape::eager;
+  } else if (len <= cfg.small_msg_size && !e.payload_block.valid() &&
+             cfg.inline_max > 0 && len <= cfg.inline_max &&
+             hdr.wire_size() + len <= ctx_.nic().config().max_inline_data) {
+    shape = Shape::inline_wqe;
+  } else {
+    // Stage: rendezvous parks the payload in registered memory and sends
+    // only the descriptor (§IV-C); eager copies it behind the header.
+    const bool large = len > cfg.small_msg_size || e.payload_block.valid();
+    MemBlock staged;
+    if (large && !e.payload_block.valid()) {
+      staged = ctx_.data_cache_.alloc(len);
+      if (!staged.valid()) return std::nullopt;
+      if (std::uint8_t* dst = ctx_.data_cache_.data(staged)) {
+        copy_payload(e, dst);
+      }
+    }
+    const MemBlock wire =
+        ctx_.ctrl_cache_.alloc(hdr.wire_size() + (large ? 0 : len));
+    if (!wire.valid()) {
+      if (staged.valid()) ctx_.data_cache_.free(staged);
+      return std::nullopt;
+    }
+    if (!large) copy_payload(e, ctx_.ctrl_cache_.data(wire) + hdr.wire_size());
+    if (staged.valid()) e.payload_block = staged;
+    if (large) {
+      hdr.flags |= kFlagLarge;
+      hdr.rv_addr = e.payload_block.addr;
+      hdr.rv_rkey = e.payload_block.rkey;
+    }
+    e.wire_block = wire;
+    e.payload = Buffer{};
+    shape = large ? Shape::rendezvous : Shape::eager;
+  }
+
+  hdr.ack = rwin_.ack_to_send();
+  rwin_.note_ack_sent();
+  verbs::SendWr wr;
+  switch (shape) {
+    case Shape::mock: {
+      // Whole message inline over the alternate stream, whatever shape the
+      // entry had (a rendezvous descriptor is useless without a QP to read
+      // through). The entry keeps its template so a later replay over RDMA
+      // still finds its staging.
+      hdr.flags &= static_cast<std::uint16_t>(~kFlagLarge);
+      hdr.rv_addr = 0;
+      hdr.rv_rkey = 0;
+      Buffer wire = Buffer::make(hdr.wire_size() + len);
+      encode_stamped(hdr, wire.data());
+      copy_payload(e, wire.data() + hdr.wire_size());
+      ++stats_.mock_tx;
+      tx_override_(std::move(wire));
+      return shape;
+    }
+    case Shape::inline_wqe:
+      // IBV_SEND_INLINE: the wire message rides in the WQE itself — no
+      // MemCache staging block, no tx DMA stage at the NIC. Stamped before
+      // the egress filter, so injected corruption lands on stamped bytes
+      // like a flip after a real NIC computed its CRC.
+      wr.local = {0, hdr.wire_size() + len, 0};  // no MR backs the WQE
+      wr.inline_data = true;
+      wr.inline_payload = Buffer::make(wr.local.length);
+      encode_stamped(hdr, wr.inline_payload.data());
+      copy_payload(e, wr.inline_payload.data() + hdr.wire_size());
+      ++stats_.inline_sends;
+      break;
+    case Shape::eager:
+    case Shape::rendezvous:
+      // Refresh the ack and CRC stamp in place (first send or replay).
+      if (std::uint8_t* dst = ctx_.ctrl_cache_.data(e.wire_block)) {
+        encode_stamped(hdr, dst);
+      }
+      wr.local = {e.wire_block.addr,
+                  hdr.wire_size() + (shape == Shape::eager ? len : 0),
+                  e.wire_block.lkey};
+      break;
+  }
+  e.hdr = hdr;
+  post_data(hdr, std::move(wr));
+  return shape;
+}
+
+const std::uint8_t* Channel::payload_src(const TxEntry& e) {
+  if (e.payload_block.valid()) return ctx_.data_cache_.data(e.payload_block);
+  if (!e.wire_block.valid()) return e.payload.data();
+  // Staged eager bytes sit right behind the header.
+  const std::uint8_t* wire = ctx_.ctrl_cache_.data(e.wire_block);
+  return wire ? wire + e.hdr.wire_size() : nullptr;
+}
+
+void Channel::copy_payload(const TxEntry& e, std::uint8_t* dst) {
+  const std::uint8_t* src = payload_src(e);
+  if (src && e.hdr.payload_len > 0) std::memcpy(dst, src, e.hdr.payload_len);
+}
+
+void Channel::post_data(const WireHeader& hdr, verbs::SendWr wr) {
   const Config& cfg = ctx_.config();
   // Egress fault injection (Filter, §VI-C). A dropped message stays in the
   // send window — only a recovery replay can deliver it.
@@ -434,30 +443,32 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block,
     }
     if (d.action == Context::FilterAction::delay) extra = d.delay;
     if (d.action == Context::FilterAction::corrupt) {
-      // Corrupt a transient copy, never `block` itself: the send window
-      // retains that block as the retransmit template, so an in-place flip
-      // would make every recovery replay re-send the corrupted bytes.
-      if (const std::uint8_t* src = ctx_.ctrl_cache_.data(block);
-          src && len > 0) {
+      const std::uint32_t len = wr.local.length;
+      if (wr.inline_data) {
+        // The WQE-carried bytes are this post's own copy: flip in place.
+        wr.inline_payload.data()[d.corrupt_seed % len] ^= 0x40;
+      } else if (const std::uint8_t* src = ctx_.ctrl_cache_.data(
+                     MemBlock{wr.local.addr, len, wr.local.lkey});
+                 src && len > 0) {
+        // Corrupt a transient copy, never the staged block itself: the
+        // send window retains it as the retransmit template, so an
+        // in-place flip would make every recovery replay re-send the
+        // corrupted bytes. Allocation failure posts the clean block: the
+        // injected fault degrades to a no-op, deterministically.
         transient = ctx_.ctrl_cache_.alloc(len);
         if (transient.valid()) {
           std::uint8_t* p = ctx_.ctrl_cache_.data(transient);
           std::memcpy(p, src, len);
           p[d.corrupt_seed % len] ^= 0x40;
-          block = transient;
+          wr.local = {transient.addr, len, transient.lkey};
         }
-        // Allocation failure posts the clean block: the injected fault
-        // degrades to a no-op, deterministically, instead of mutating
-        // retained state.
       }
     }
   }
-  verbs::SendWr wr;
   wr.wr_id = ctx_.register_wr(
       {Context::WrInfo::Kind::data_send, id_, 0, 0, transient, false});
   wr.opcode = verbs::Opcode::send_imm;  // imm carries the ACK low bits (§V-B)
   wr.imm = static_cast<std::uint32_t>(rwin_.last_ack_sent());
-  wr.local = {block.addr, len, block.lkey};
   // Software send-path cost (plus the tracing tax in req-rsp mode, plus the
   // CRC pass over the covered bytes — header and, when real, payload —
   // modeling a hardware-assisted CRC32C at ~16 bytes/ns).
@@ -474,59 +485,7 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block,
         ch && (ch->state_ == State::established ||
                ch->state_ == State::closing) &&
         ch->qp_.valid()) {
-      ctx->accumulate_wr(*ch, wr);
-    }
-  });
-}
-
-void Channel::post_wire_inline(const WireHeader& hdr, const Buffer& payload) {
-  const Config& cfg = ctx_.config();
-  const std::uint32_t len = hdr.payload_len;
-  const std::uint32_t wire_len = hdr.wire_size() + len;
-  Buffer wire = Buffer::make(wire_len);
-  // Stamp before the egress filter below: injected corruption lands on
-  // already-stamped bytes, exactly like a flip after a real NIC computed
-  // its CRC — which is what makes it detectable at the receiver.
-  encode_stamped(hdr, wire.data());
-  if (len > 0 && payload.data() && !payload.is_synthetic()) {
-    std::memcpy(wire.data() + hdr.wire_size(), payload.data(), len);
-  }
-  // Egress fault injection mirrors post_wire; the wire bytes live in the
-  // WQE-carried buffer, so corruption mutates that copy directly.
-  Nanos extra = 0;
-  if (ctx_.egress_filter_) {
-    const auto d = ctx_.egress_filter_(*this, hdr);
-    if (d.action == Context::FilterAction::drop) {
-      ++stats_.egress_drops;
-      return;
-    }
-    if (d.action == Context::FilterAction::delay) extra = d.delay;
-    if (d.action == Context::FilterAction::corrupt) {
-      wire.data()[d.corrupt_seed % wire_len] ^= 0x40;
-    }
-  }
-  verbs::SendWr wr;
-  wr.wr_id = ctx_.register_wr(
-      {Context::WrInfo::Kind::data_send, id_, 0, 0, MemBlock{}, false});
-  wr.opcode = verbs::Opcode::send_imm;
-  wr.imm = static_cast<std::uint32_t>(rwin_.last_ack_sent());
-  wr.local = {0, wire_len, 0};  // length only; no MR backs an inline WQE
-  wr.inline_data = true;
-  wr.inline_payload = wire;
-  Nanos cost = cfg.send_path_overhead;
-  if (cfg.reqrsp_mode) cost += cfg.trace_overhead;
-  if (hdr.crc_present) {
-    cost += static_cast<Nanos>(
-        (hdr.wire_size() + (hdr.payload_crc != 0 ? len : 0)) / 16);
-    cost = crc_serialize(cost);
-  }
-  const std::uint64_t chan_id = id_;
-  ctx_.engine().schedule_after(cost + extra, [ctx = &ctx_, chan_id, wr] {
-    if (Channel* ch = ctx->channel_by_id(chan_id);
-        ch && (ch->state_ == State::established ||
-               ch->state_ == State::closing) &&
-        ch->qp_.valid()) {
-      ctx->accumulate_wr(*ch, wr);
+      ctx->post_or_queue(*ch, wr);
     }
   });
 }
@@ -726,7 +685,7 @@ void Channel::on_integrity_nak(Seq seq) {
     ++stats_.integrity_retransmits;
     record(analysis::RecEvent::integrity_retransmit,
            static_cast<std::uint16_t>(e.integrity_retries), s);
-    retransmit_entry(s, e);
+    retransmit_entry(e);
   });
 }
 
@@ -1346,10 +1305,6 @@ void Channel::close() {
   // A closing channel can never deliver responses: complete outstanding
   // RPCs now instead of letting them ride to their timeouts.
   abort_calls(Errc::channel_closed);
-  // The FIN posts directly below; chained data still parked in the batch
-  // accumulator must ring its doorbell first or the FIN overtakes it in
-  // the FIFO send queue and the peer drops the data as post-close.
-  ctx_.flush_tx_batch(*this);
   post_control(kFlagFin);
   // FIN deadline: nothing else watches a closing channel (keepalive stands
   // down), so a FIN that dies with its QP — post failure or a lost WC —
@@ -1708,7 +1663,7 @@ void Channel::on_fallback_lost() {
 
 void Channel::retransmit_unacked() {
   swin_.for_each_inflight(
-      [this](Seq s, TxEntry& e) { retransmit_entry(s, e); });
+      [this](Seq, TxEntry& e) { retransmit_entry(e); });
 }
 
 void Channel::defer_retransmit() {
@@ -1720,112 +1675,11 @@ void Channel::defer_retransmit() {
   arm_mem_retry();
 }
 
-void Channel::retransmit_entry(Seq seq, TxEntry& e) {
+void Channel::retransmit_entry(TxEntry& e) {
   ++stats_.recovery_retransmits;
   ctx_.health().note_retransmit(peer_);
   last_tx_ = ctx_.engine().now();
-  WireHeader hdr = e.hdr;
-  hdr.seq = seq;
-  hdr.ack = rwin_.ack_to_send();
-  rwin_.note_ack_sent();
-  const std::uint32_t len = hdr.payload_len;
-
-  if (tx_override_) {
-    // Replay inline over the fallback stream, whatever the original shape
-    // (a rendezvous descriptor is useless without a QP to read through).
-    hdr.flags &= static_cast<std::uint16_t>(~kFlagLarge);
-    hdr.rv_addr = 0;
-    hdr.rv_rkey = 0;
-    Buffer wire = Buffer::make(hdr.wire_size() + len);
-    encode_stamped(hdr, wire.data());
-    if (len > 0) {
-      std::uint8_t* dst = wire.data() + hdr.wire_size();
-      if (e.payload_block.valid()) {
-        if (const std::uint8_t* src = ctx_.data_cache_.data(e.payload_block)) {
-          std::memcpy(dst, src, len);
-        }
-      } else if (e.inline_copy.data() && e.inline_copy.size() >= len) {
-        std::memcpy(dst, e.inline_copy.data(), len);
-      } else if (e.wire_block.valid()) {
-        if (const std::uint8_t* src = ctx_.ctrl_cache_.data(e.wire_block)) {
-          std::memcpy(dst, src + e.hdr.wire_size(), len);
-        }
-      }
-    }
-    ++stats_.mock_tx;
-    tx_override_(std::move(wire));
-    return;
-  }
-
-  if (e.wire_block.valid()) {
-    // Original wire bytes survive in the control cache: refresh the ack
-    // (and CRC stamp) in place and repost (rendezvous descriptors stay
-    // valid — the payload block was never freed, and MRs outlive the QP).
-    if (std::uint8_t* dst = ctx_.ctrl_cache_.data(e.wire_block)) {
-      encode_stamped(hdr, dst);
-    }
-    e.hdr = hdr;
-    post_wire(hdr, e.wire_block, e.wire_len);
-    return;
-  }
-
-  const Config& cfg = ctx_.config();
-  // Inline-sent originally (wire bytes rode in the WQE, no staging block):
-  // replay down the same inline path instead of rebuilding a wire block.
-  if (!e.payload_block.valid() && len <= cfg.small_msg_size &&
-      cfg.inline_max > 0 && len <= cfg.inline_max &&
-      hdr.wire_size() + len <= ctx_.nic().config().max_inline_data) {
-    e.hdr = hdr;
-    ++stats_.inline_sends;
-    post_wire_inline(hdr, e.inline_copy);
-    return;
-  }
-
-  // Emitted over the fallback originally (no wire block): rebuild for RDMA.
-  if (len > cfg.small_msg_size && !e.payload_block.valid()) {
-    hdr.flags |= kFlagLarge;
-    MemBlock payload_block = ctx_.data_cache_.alloc(len);
-    if (!payload_block.valid()) {
-      defer_retransmit();
-      return;
-    }
-    if (std::uint8_t* dst = ctx_.data_cache_.data(payload_block);
-        dst && e.inline_copy.data()) {
-      std::memcpy(dst, e.inline_copy.data(), len);
-    }
-    e.payload_block = payload_block;
-  }
-  const bool large = e.payload_block.valid();
-  if (large) {
-    hdr.flags |= kFlagLarge;
-    hdr.rv_addr = e.payload_block.addr;
-    hdr.rv_rkey = e.payload_block.rkey;
-    MemBlock block = ctx_.ctrl_cache_.alloc(hdr.wire_size());
-    if (!block.valid()) {
-      defer_retransmit();
-      return;
-    }
-    encode_stamped(hdr, ctx_.ctrl_cache_.data(block));
-    e.hdr = hdr;
-    e.wire_block = block;
-    e.wire_len = hdr.wire_size();
-    post_wire(hdr, block, e.wire_len);
-    return;
-  }
-  MemBlock block = ctx_.ctrl_cache_.alloc(hdr.wire_size() + len);
-  if (!block.valid()) {
-    defer_retransmit();
-    return;
-  }
-  std::uint8_t* dst = ctx_.ctrl_cache_.data(block);
-  encode_stamped(hdr, dst);
-  if (len > 0 && e.inline_copy.data()) {
-    std::memcpy(dst + hdr.wire_size(), e.inline_copy.data(), len);
-  }
-  e.hdr = hdr;
-  e.wire_block = block;
-  e.wire_len = hdr.wire_size() + len;
-  post_wire(hdr, block, e.wire_len);
+  if (!frame(e)) defer_retransmit();
 }
 
 void Channel::restart_pending_pulls() {
@@ -1857,7 +1711,7 @@ void Channel::free_tx_entry(TxEntry& e) {
   if (e.payload_block.valid()) ctx_.data_cache_.free(e.payload_block);
   e.wire_block = MemBlock{};
   e.payload_block = MemBlock{};
-  e.inline_copy = Buffer{};
+  e.payload = Buffer{};
 }
 
 }  // namespace xrdma::core

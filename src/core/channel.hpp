@@ -30,6 +30,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "analysis/recorder.hpp"
 #include "common/bytes.hpp"
@@ -159,15 +160,25 @@ class Channel {
     MemBlock zc_block;  // zero-copy payload (valid() when used)
   };
 
+  /// One unacked send-window entry: the header template every (re)frame
+  /// starts from, plus one payload source. The bytes live in `payload`
+  /// until a frame stages them — into `payload_block` (rendezvous) or the
+  /// tail of `wire_block` (eager) — or in `payload_block` from the start
+  /// (zero-copy). Inline and mock frames never stage.
   struct TxEntry {
-    MemBlock wire_block;     // the SEND bytes (header [+ inline payload])
-    MemBlock payload_block;  // rendezvous source (large messages)
-    WireHeader hdr;          // as emitted — the retransmit template
-    std::uint32_t wire_len = 0;
-    Buffer inline_copy;      // payload kept for entries with no wire block
-    Nanos t_queued = 0;
-    std::uint16_t flags = 0;
+    WireHeader hdr;
+    Buffer payload;
+    MemBlock payload_block;  // rendezvous source (staged copy or zero-copy)
+    MemBlock wire_block;     // staged SEND bytes (header [+ eager payload])
     std::uint16_t integrity_retries = 0;  // integrity-NAK replays so far
+  };
+
+  /// The four wire shapes a data message can take.
+  enum class Shape : std::uint8_t {
+    mock,        // whole message over the alternate stream
+    inline_wqe,  // header + payload carried in the WQE (IBV_SEND_INLINE)
+    eager,       // header + payload staged in a ctrl-cache block
+    rendezvous,  // descriptor only; the receiver RDMA-Reads payload_block
   };
 
   struct RxState {
@@ -203,11 +214,19 @@ class Channel {
   /// Emits the front pending send. Returns false on memory exhaustion,
   /// leaving `p` untouched (still queued) for the mem-retry timer.
   bool emit_data(PendingSend& p);
-  void post_wire(const WireHeader& hdr, MemBlock block, std::uint32_t len);
-  /// Inline-send variant of post_wire: the wire message (header + payload)
-  /// is built into a heap buffer that rides in the WQE itself — no
-  /// MemCache staging block, no tx DMA stage at the NIC.
-  void post_wire_inline(const WireHeader& hdr, const Buffer& payload);
+  /// Frames window entry `e` from its header template and payload source
+  /// into the shape the transport, size and inline limits call for, and
+  /// sends it — the one builder behind first emission and every replay.
+  /// Returns nullopt, leaving `e` untouched, when staging memory is
+  /// exhausted.
+  std::optional<Shape> frame(TxEntry& e);
+  /// `e`'s payload bytes, from whichever source holds them (nullptr for
+  /// synthetic payloads), and a copy of them to `dst`.
+  const std::uint8_t* payload_src(const TxEntry& e);
+  void copy_payload(const TxEntry& e, std::uint8_t* dst);
+  /// The post tail of every data WR: egress fault injection, WR registry,
+  /// send-path cost (CRC surcharge included), then the scheduled post.
+  void post_data(const WireHeader& hdr, verbs::SendWr wr);
   /// Windowless control message. `aux_id`/`aux` ride in rpc_id/rv_addr
   /// (kFlagNak: the NAK'd seq and the retry-after hint in ns).
   void post_control(std::uint16_t flags, std::uint64_t aux_id = 0,
@@ -290,7 +309,7 @@ class Channel {
   void escalate_or_fail();
   void arm_rdma_probe();
   void retransmit_unacked();
-  void retransmit_entry(Seq seq, TxEntry& e);
+  void retransmit_entry(TxEntry& e);
   void restart_pending_pulls();
 
   Context& ctx_;
@@ -304,11 +323,6 @@ class Channel {
   RecvWindow<RxState> rwin_;
   std::deque<PendingSend> pending_tx_;
   std::uint64_t pending_tx_bytes_ = 0;
-  // Doorbell-coalescing accumulator (owned logically by Context, which
-  // posts the chain; lives here so per-channel FIFO order is structural).
-  std::vector<verbs::SendWr> tx_batch_;
-  std::uint64_t tx_batch_bytes_ = 0;
-  bool batch_flush_scheduled_ = false;
   bool tx_blocked_ = false;          // a send was rejected; edge for writable
   bool retransmit_pending_ = false;  // retransmit parked on memory pressure
   std::unique_ptr<sim::DeadlineTimer> mem_retry_timer_;

@@ -173,25 +173,6 @@ const std::map<std::string, OnlineParam>& online_params() {
         [](Config& c, std::int64_t v) {
           c.recorder_sample_mask = static_cast<std::uint32_t>(v);
         }}},
-      {"tx_batch_max_wrs",
-       {[](const Config& c) { return std::int64_t{c.tx_batch_max_wrs}; },
-        [](Config& c, std::int64_t v) {
-          c.tx_batch_max_wrs = static_cast<std::uint32_t>(v);
-        }}},
-      {"tx_batch_max_bytes",
-       {[](const Config& c) {
-          return static_cast<std::int64_t>(c.tx_batch_max_bytes);
-        },
-        [](Config& c, std::int64_t v) {
-          c.tx_batch_max_bytes = static_cast<std::uint64_t>(v);
-        }}},
-      {"tx_batch_flush_on_poll_end",
-       {[](const Config& c) {
-          return std::int64_t{c.tx_batch_flush_on_poll_end};
-        },
-        [](Config& c, std::int64_t v) {
-          c.tx_batch_flush_on_poll_end = v != 0;
-        }}},
       {"inline_max",
        {[](const Config& c) { return std::int64_t{c.inline_max}; },
         [](Config& c, std::int64_t v) {

@@ -72,8 +72,8 @@ struct Config {
   // retransmits per evaluation scan.
   std::uint32_t health_degraded_rtt_x = 4;
   std::uint32_t health_retx_degraded = 32;
-  // Corruption-storm detector: CRC failures per evaluation scan that grade
-  // the peer degraded (0 disables). Fed by the channel's receive-side
+  // Corruption-storm detector: CRC failures within the last four
+  // evaluation scans that grade the peer degraded (0 disables). Fed by the channel's receive-side
   // integrity verification (e2e_crc).
   std::uint32_t health_crc_degraded = 8;
 
@@ -131,15 +131,7 @@ struct Config {
   std::uint32_t frag_size = 64 * 1024;      // rendezvous read fragment
   std::uint32_t max_outstanding_wrs = 16;   // queuing threshold N (per ctx)
 
-  // ---- Batched hot path (doorbell coalescing + inline sends) ----
-  // Data-send WRs accumulate per channel and flush as one chained post
-  // (one doorbell) when the chain hits either cap, and always before the
-  // current engine tick ends. 1 / 0 caps = post immediately (batching off).
-  std::uint32_t tx_batch_max_wrs = 8;
-  std::uint64_t tx_batch_max_bytes = 16 * 1024;
-  // Also flush any accumulated chains at the end of every polling() pass,
-  // so a batch never waits on further tx activity.
-  bool tx_batch_flush_on_poll_end = true;
+  // ---- Inline sends ----
   // Eager payloads up to this many bytes skip the MemCache staging copy
   // and ride in the WQE (IBV_SEND_INLINE), skipping the tx DMA stage too.
   // 0 disables inline sends.

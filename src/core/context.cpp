@@ -422,9 +422,6 @@ void Context::channel_detach_qp(Channel& ch) {
 void Context::channel_attach_qp(Channel& ch) { by_qp_[ch.qp_num()] = &ch; }
 
 void Context::purge_channel_wrs(std::uint64_t channel_id) {
-  // Batched WRs never hit the NIC either: drop the accumulator first so
-  // the registry sweep below can retire their entries.
-  if (Channel* ch = channel_by_id(channel_id)) drop_tx_batch(*ch);
   // Deferred WRs never hit the NIC and never held a credit: just drop them.
   for (auto it = deferred_wrs_.begin(); it != deferred_wrs_.end();) {
     if (it->channel_id == channel_id) {
@@ -486,13 +483,18 @@ void Context::post_or_queue(Channel& ch, verbs::SendWr wr) {
   // deferred post was in flight: dropping it is the only safe option (its
   // buffers may already be retired).
   if (!wrs_.count(wr.wr_id)) return;
-  if (cfg_.flowctl && outstanding_wrs_ >= cfg_.max_outstanding_wrs) {
+  if (!has_credit()) {
     // Queuing (§V-C): buffer the WR instead of letting the send queue and
     // the fabric absorb a burst.
     ++ch.stats_.flowctl_queued;
-    deferred_wrs_.push_back({ch.id(), wr});
+    deferred_wrs_.push_back({ch.id(), std::move(wr)});
     return;
   }
+  const Errc rc = post_now(ch, wr);
+  if (rc != Errc::ok && rc != Errc::resource_exhausted) ch.fail(rc);
+}
+
+Errc Context::post_now(Channel& ch, const verbs::SendWr& wr) {
   auto it = wrs_.find(wr.wr_id);
   if (it != wrs_.end()) it->second.counted = true;
   ++outstanding_wrs_;
@@ -500,23 +502,25 @@ void Context::post_or_queue(Channel& ch, verbs::SendWr wr) {
   if (rc == Errc::ok) {
     ++ch.stats_.doorbells;
     ++ch.stats_.doorbell_wrs;
-  } else if (rc == Errc::resource_exhausted) {
-    // NIC send queue full: defer, keep the registry entry, retry on the
-    // next completion.
-    --outstanding_wrs_;
+    return rc;
+  }
+  --outstanding_wrs_;
+  if (rc == Errc::resource_exhausted) {
+    // That QP's send queue is full (incast: the flow-control credit freed
+    // on some *other* QP). Keep the registry entry and retry on the next
+    // completion — dropping it would wedge a rendezvous pull, and with it
+    // the whole receive window, forever.
     if (it != wrs_.end()) it->second.counted = false;
     deferred_wrs_.push_front({ch.id(), wr});
-  } else if (rc != Errc::ok) {
-    --outstanding_wrs_;
+  } else {
     wrs_.erase(wr.wr_id);
-    ch.fail(rc);
   }
+  return rc;
 }
 
 void Context::wr_completed() {
   if (outstanding_wrs_ > 0) --outstanding_wrs_;
-  while (!deferred_wrs_.empty() &&
-         (!cfg_.flowctl || outstanding_wrs_ < cfg_.max_outstanding_wrs)) {
+  while (!deferred_wrs_.empty() && has_credit()) {
     DeferredWr d = std::move(deferred_wrs_.front());
     deferred_wrs_.pop_front();
     Channel* ch = channel_by_id(d.channel_id);
@@ -527,192 +531,9 @@ void Context::wr_completed() {
       }
       continue;
     }
-    auto it = wrs_.find(d.wr.wr_id);
-    if (it != wrs_.end()) it->second.counted = true;
-    ++outstanding_wrs_;
-    const Errc rc = ch->qp_.post_send(d.wr);
-    if (rc == Errc::resource_exhausted) {
-      // That QP's send queue is still full (incast: the flow-control credit
-      // freed on some *other* QP). Put the WR back and stop — the next
-      // completion retries. Dropping it would wedge a rendezvous pull, and
-      // with it the whole receive window, forever.
-      --outstanding_wrs_;
-      if (it != wrs_.end()) it->second.counted = false;
-      deferred_wrs_.push_front(std::move(d));
-      break;
-    }
-    if (rc != Errc::ok) {
-      --outstanding_wrs_;
-      wrs_.erase(d.wr.wr_id);
-      continue;
-    }
-    ++ch->stats_.doorbells;
-    ++ch->stats_.doorbell_wrs;
+    // A still-full send queue puts the WR back and stops the drain.
+    if (post_now(*ch, d.wr) == Errc::resource_exhausted) break;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Doorbell batching (hot-path coalescing, §V).
-
-void Context::accumulate_wr(Channel& ch, verbs::SendWr wr) {
-  // A WR whose registry entry is gone was purged while its scheduled post
-  // was in flight (recovery): drop it, as post_or_queue would.
-  if (!wrs_.count(wr.wr_id)) return;
-  if (cfg_.tx_batch_max_wrs <= 1) {
-    post_or_queue(ch, wr);  // batching off: one doorbell per WR
-    return;
-  }
-  ++batch_accumulated_;
-  ++batch_pending_;
-  ch.tx_batch_bytes_ += wr.local.length;
-  ch.tx_batch_.push_back(std::move(wr));
-  if (ch.tx_batch_.size() >= cfg_.tx_batch_max_wrs ||
-      (cfg_.tx_batch_max_bytes > 0 &&
-       ch.tx_batch_bytes_ >= cfg_.tx_batch_max_bytes)) {
-    flush_tx_batch(ch);
-    return;
-  }
-  if (!ch.batch_flush_scheduled_) {
-    // Fallback flush at this same timestamp: the engine runs same-time
-    // events FIFO, so every WR whose send-path delay lands "now" joins the
-    // chain before this fires — one doorbell per channel per tx burst even
-    // when the poll-end flush is disabled.
-    ch.batch_flush_scheduled_ = true;
-    const std::uint64_t chan_id = ch.id();
-    engine().schedule_after(0, [this, chan_id] {
-      if (Channel* c = channel_by_id(chan_id)) {
-        c->batch_flush_scheduled_ = false;
-        flush_tx_batch(*c);
-      }
-    });
-  }
-}
-
-void Context::flush_tx_batch(Channel& ch) {
-  if (ch.tx_batch_.empty()) return;
-  std::vector<verbs::SendWr> batch;
-  batch.swap(ch.tx_batch_);
-  ch.tx_batch_bytes_ = 0;
-  batch_pending_ -= batch.size();
-
-  // Purge guard: entries unregistered since accumulation (recovery swept
-  // the channel) must not reach the NIC — their buffers may be retired.
-  std::uint64_t dropped = 0;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!wrs_.count(batch[i].wr_id)) {
-      ++batch_dropped_;
-      ++dropped;
-      continue;
-    }
-    if (kept != i) batch[kept] = std::move(batch[i]);
-    ++kept;
-  }
-  batch.resize(kept);
-
-  const bool postable = (ch.state_ == Channel::State::established ||
-                         ch.state_ == Channel::State::closing) &&
-                        ch.qp_.valid();
-  if (!postable) {
-    for (const verbs::SendWr& wr : batch) {
-      if (auto it = wrs_.find(wr.wr_id); it != wrs_.end()) {
-        if (it->second.block.valid()) ctrl_cache_.free(it->second.block);
-        wrs_.erase(it);
-      }
-      ++batch_dropped_;
-      ++dropped;
-    }
-    if (dropped > 0) {
-      recorder_.log(engine().now(), analysis::RecEvent::batch_flush, 0,
-                    static_cast<std::uint32_t>(ch.id()), 0, dropped);
-    }
-    return;
-  }
-
-  std::uint64_t posted = 0, posted_bytes = 0, deferred = 0;
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Greedy credit-limited chains: post as many WRs per doorbell as the
-    // flow-control budget allows; whatever does not fit queues in order.
-    std::size_t credits = batch.size() - i;
-    if (cfg_.flowctl) {
-      credits = outstanding_wrs_ < cfg_.max_outstanding_wrs
-                    ? std::min<std::size_t>(
-                          credits, cfg_.max_outstanding_wrs - outstanding_wrs_)
-                    : 0;
-    }
-    if (credits == 0) {
-      for (; i < batch.size(); ++i) {
-        ++ch.stats_.flowctl_queued;
-        ++batch_deferred_;
-        ++deferred;
-        deferred_wrs_.push_back({ch.id(), std::move(batch[i])});
-      }
-      break;
-    }
-    for (std::size_t k = 0; k < credits; ++k) {
-      if (auto it = wrs_.find(batch[i + k].wr_id); it != wrs_.end()) {
-        it->second.counted = true;
-      }
-    }
-    outstanding_wrs_ += static_cast<std::uint32_t>(credits);
-    const Errc rc = ch.qp_.post_send_batch(&batch[i], credits);
-    if (rc == Errc::ok) {
-      ++ch.stats_.doorbells;
-      ch.stats_.doorbell_wrs += credits;
-      batch_posted_ += credits;
-      posted += credits;
-      for (std::size_t k = 0; k < credits; ++k) {
-        posted_bytes += batch[i + k].local.length;
-      }
-      i += credits;
-      continue;
-    }
-    // Undo the optimistic credit charge before disposing of the tail.
-    outstanding_wrs_ -= static_cast<std::uint32_t>(credits);
-    for (std::size_t k = 0; k < credits; ++k) {
-      if (auto it = wrs_.find(batch[i + k].wr_id); it != wrs_.end()) {
-        it->second.counted = false;
-      }
-    }
-    if (rc == Errc::resource_exhausted) {
-      // NIC send queue cannot take the chain: park the whole tail at the
-      // front of the deferred queue (order preserved) for the
-      // completion-driven repost path.
-      for (std::size_t k = batch.size(); k-- > i;) {
-        deferred_wrs_.push_front({ch.id(), std::move(batch[k])});
-      }
-      const std::size_t tail = batch.size() - i;
-      ch.stats_.flowctl_queued += tail;
-      batch_deferred_ += tail;
-      deferred += tail;
-      break;
-    }
-    // Post error (dead QP surfacing, invalid WR): drop the tail and fail
-    // the channel like the single-post path does.
-    for (std::size_t k = i; k < batch.size(); ++k) {
-      if (auto it = wrs_.find(batch[k].wr_id); it != wrs_.end()) {
-        if (it->second.block.valid()) ctrl_cache_.free(it->second.block);
-        wrs_.erase(it);
-      }
-      ++batch_dropped_;
-      ++dropped;
-    }
-    ch.fail(rc);
-    break;
-  }
-  recorder_.log(engine().now(), analysis::RecEvent::batch_flush,
-                static_cast<std::uint16_t>(posted),
-                static_cast<std::uint32_t>(ch.id()), posted_bytes,
-                (deferred << 16) | dropped);
-}
-
-void Context::drop_tx_batch(Channel& ch) {
-  if (ch.tx_batch_.empty()) return;
-  batch_pending_ -= ch.tx_batch_.size();
-  batch_dropped_ += ch.tx_batch_.size();
-  ch.tx_batch_.clear();
-  ch.tx_batch_bytes_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -753,14 +574,6 @@ int Context::polling(int budget) {
     if (n <= 0) break;
     for (int i = 0; i < n; ++i) dispatch_recv_wc(wcs[i]);
     processed += n;
-  }
-  // Poll-end doorbell flush: anything the completion handlers accumulated
-  // this iteration rings one chained doorbell per channel instead of
-  // waiting for the same-timestamp fallback event.
-  if (cfg_.tx_batch_flush_on_poll_end && batch_pending_ > 0) {
-    for (auto& ch : channels_) {
-      if (!ch->tx_batch_.empty()) flush_tx_batch(*ch);
-    }
   }
   if (processed == 0) ++stats_.empty_polls;
   stats_.events_processed += static_cast<std::uint64_t>(processed);

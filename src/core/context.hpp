@@ -161,15 +161,6 @@ class Context {
   /// WRs counted against max_outstanding_wrs, and the deferred queue depth.
   std::uint32_t outstanding_wrs() const { return outstanding_wrs_; }
   std::size_t deferred_wr_count() const { return deferred_wrs_.size(); }
-  /// Doorbell-batching conservation ledger (X-Check oracle 14): every WR
-  /// that entered the batch accumulator is eventually posted, deferred to
-  /// the flow-control queue, or dropped (purge/dead channel) — never lost,
-  /// never double-posted. pending counts WRs sitting in accumulators now.
-  std::uint64_t batch_accumulated() const { return batch_accumulated_; }
-  std::uint64_t batch_posted() const { return batch_posted_; }
-  std::uint64_t batch_deferred() const { return batch_deferred_; }
-  std::uint64_t batch_dropped() const { return batch_dropped_; }
-  std::uint64_t batch_pending() const { return batch_pending_; }
 
   // --- Overload control ------------------------------------------------------
   /// Aggregate bytes parked in every channel's bounded tx queue — the value
@@ -254,17 +245,15 @@ class Context {
     std::uint64_t channel_id = 0;
     verbs::SendWr wr;
   };
+  bool has_credit() const {
+    return !cfg_.flowctl || outstanding_wrs_ < cfg_.max_outstanding_wrs;
+  }
   void post_or_queue(Channel& ch, verbs::SendWr wr);
+  /// Charges one credit and rings the doorbell. On failure the charge is
+  /// undone: a full send queue parks the WR at the deferred queue's front,
+  /// any other error unregisters it. Returns the post status.
+  Errc post_now(Channel& ch, const verbs::SendWr& wr);
   void wr_completed();
-
-  // Doorbell batching (hot-path coalescing): data-plane WRs accumulate in
-  // their channel's tx_batch_ across a poll iteration and post as one
-  // chained doorbell (Rnic::post_send chain form). Control messages and
-  // keepalives stay direct — they are rare and carry the acks that unblock
-  // everything else.
-  void accumulate_wr(Channel& ch, verbs::SendWr wr);
-  void flush_tx_batch(Channel& ch);
-  void drop_tx_batch(Channel& ch);
 
   // Channel lifecycle.
   Channel* adopt_established(verbs::cm::Established est, bool connector,
@@ -342,14 +331,6 @@ class Context {
 
   std::uint32_t outstanding_wrs_ = 0;
   std::deque<DeferredWr> deferred_wrs_;
-
-  // Batch-conservation ledger: accumulated == posted + deferred + dropped
-  // + pending at every instant (X-Check oracle 14).
-  std::uint64_t batch_accumulated_ = 0;
-  std::uint64_t batch_posted_ = 0;
-  std::uint64_t batch_deferred_ = 0;
-  std::uint64_t batch_dropped_ = 0;
-  std::uint64_t batch_pending_ = 0;
 
   sim::PeriodicTimer scan_timer_;
   EventFd event_fd_;

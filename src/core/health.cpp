@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace xrdma::core {
 
@@ -373,6 +374,9 @@ void HealthMonitor::evaluate(Nanos now) {
         grade_change(peer, rec, PeerState::draining);
         rec.retx_in_scan = 0;
         rec.crc_in_scan = 0;
+        std::fill(std::begin(rec.crc_prev_scans), std::end(rec.crc_prev_scans),
+                  0);
+        rec.crc_storm = false;
         continue;
       }
     }
@@ -392,13 +396,21 @@ void HealthMonitor::evaluate(Nanos now) {
                               std::max(rec.rtt_long, 1000.0);
       const bool retx_storm = cfg_.health_retx_degraded > 0 &&
                               rec.retx_in_scan >= cfg_.health_retx_degraded;
+      // CRC failures are counted over the last kCrcWindowScans scans, not
+      // one: go-back-N stalls the stream for a NAK round-trip after every
+      // failure, so even a heavy storm arrives in bursts that straddle scan
+      // boundaries. A storm is counted once, when it starts; the grade
+      // holds while it lasts.
+      std::uint64_t crc_window = rec.crc_in_scan;
+      for (std::uint64_t n : rec.crc_prev_scans) crc_window += n;
       const bool crc_storm = cfg_.health_crc_degraded > 0 &&
-                             rec.crc_in_scan >= cfg_.health_crc_degraded;
-      if (crc_storm) {
+                             crc_window >= cfg_.health_crc_degraded;
+      if (crc_storm && !rec.crc_storm) {
         ++stats_.crc_storms;
         rec_log(analysis::RecEvent::corruption_storm, 0,
-                static_cast<std::uint32_t>(peer), rec.crc_in_scan);
+                static_cast<std::uint32_t>(peer), crc_window);
       }
+      rec.crc_storm = crc_storm;
       if (rtt_inflated || retx_storm || crc_storm) {
         next = PeerState::degraded;
       } else if (rec.last_proof > 0 &&
@@ -412,6 +424,10 @@ void HealthMonitor::evaluate(Nanos now) {
       grade_change(peer, rec, next);
     }
     rec.retx_in_scan = 0;
+    std::copy_backward(std::begin(rec.crc_prev_scans),
+                       std::end(rec.crc_prev_scans) - 1,
+                       std::end(rec.crc_prev_scans));
+    rec.crc_prev_scans[0] = rec.crc_in_scan;
     rec.crc_in_scan = 0;
     // A long quiet spell forgives past flapping.
     if (rec.holddown_level > 0 && rec.last_flap > 0 &&

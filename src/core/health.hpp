@@ -82,7 +82,8 @@ class HealthMonitor {
   /// A window entry had to be re-sent after recovery (degraded detector).
   void note_retransmit(net::NodeId peer);
   /// A frame from the peer failed e2e CRC verification (corruption-storm
-  /// detector: health_crc_degraded failures in one scan grade it degraded).
+  /// detector: health_crc_degraded failures within the last kCrcWindowScans
+  /// scans grade it degraded).
   void note_crc_failure(net::NodeId peer);
   /// A channel starts recovery against the peer; runs flap detection.
   void note_fault(net::NodeId peer);
@@ -150,6 +151,8 @@ class HealthMonitor {
 
  private:
   static constexpr std::size_t kIntervalWindow = 64;
+  // Scans the corruption-storm detector sums CRC failures over.
+  static constexpr std::size_t kCrcWindowScans = 4;
 
   struct PeerRecord {
     std::uint32_t channels = 0;
@@ -167,6 +170,9 @@ class HealthMonitor {
     std::uint64_t rtt_samples = 0;
     std::uint64_t retx_in_scan = 0;
     std::uint64_t crc_in_scan = 0;  // CRC failures this evaluation scan
+    // ... and in the scans before it, newest first.
+    std::uint64_t crc_prev_scans[kCrcWindowScans - 1] = {};
+    bool crc_storm = false;  // storm graded at the last scan
     // State machine.
     PeerState state = PeerState::healthy;
     bool dead = false;

@@ -87,7 +87,8 @@ struct HealthStats {
   std::uint64_t drain_suppressions = 0; // dead/suspect verdicts suppressed
   std::uint64_t drain_violations = 0;   // grades that broke the draining
                                         // contract (X-Check oracle 13)
-  // Integrity plane: peers graded degraded by the corruption-storm detector.
+  // Integrity plane: storms seen by the corruption-storm detector, one per
+  // storm however many scans it lasts.
   std::uint64_t crc_storms = 0;
 };
 

@@ -1,11 +1,10 @@
-// X-Check batching shape: the doorbell-batching schedule (workload skewed
-// to small eager sends so WR chains actually form, per-node randomized
-// tx_batch_max_wrs / inline_max / flush policy, qp_kill faults landing
-// right after send bursts so chains die mid-flight) must keep all fourteen
-// oracles green — in particular oracle 14 (every WR that entered a batch
-// accumulator is posted, deferred or dropped; never lost, never
-// double-posted) and oracle 1 (exactly-once delivery across a mid-chain QP
-// kill). Replays must carry the new knob and stay bit-identical.
+// X-Check batching shape: the small-message schedule (workload skewed to
+// sizes straddling the inline boundary, per-node randomized inline_max,
+// qp_kill faults landing right after send bursts so WRs die between
+// framing and doorbell) must keep every oracle green — in particular
+// oracle 1 (exactly-once delivery across a mid-send QP kill and the
+// inline replay that follows). Replays must carry the knob and stay
+// bit-identical.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,10 +27,9 @@ RunOptions quiet() {
 }
 
 /// Batching shape over the default 30 ms horizon: 80% of sends land at or
-/// below the inline/chain-interesting sizes (0..257 B), every node draws
-/// its own point in the knob matrix (chained vs single-WR, inline
-/// on/off/small, poll-end flush vs fallback), and the generator appends
-/// mid-chain qp_kill faults shortly after send bursts.
+/// below the inline-interesting sizes (0..257 B), every node draws its own
+/// inline_max (off, 64, 256), and the generator appends mid-send qp_kill
+/// faults shortly after send bursts.
 ScheduleParams batching_params() {
   ScheduleParams p;
   p.num_hosts = 3;
@@ -42,35 +40,30 @@ ScheduleParams batching_params() {
 }
 
 TEST(BatchingShapes, BatchingSeedsSatisfyAllOracles) {
-  std::uint64_t accumulated = 0, posted = 0, inlined = 0;
+  std::uint64_t inlined = 0;
   std::uint64_t doorbells = 0, doorbell_wrs = 0;
   for (const std::uint64_t seed : smoke_seeds(20)) {
     SCOPED_TRACE(testing::Message() << "XCHECK_SEED=" << seed);
     const RunReport r = check_seed(seed, batching_params(), quiet());
     EXPECT_TRUE(r.passed()) << describe(r);
     EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
-    accumulated += r.batch_accumulated;
-    posted += r.batch_posted;
     inlined += r.inline_sends;
     doorbells += r.doorbells;
     doorbell_wrs += r.doorbell_wrs;
   }
-  // The shape exists to drive the batched fast path: across the sweep WRs
-  // must actually have flowed through accumulators and out of them, inline
-  // sends must have fired, and at least one doorbell must have carried more
-  // than one WQE — a green sweep that only ever exercised the single-WR
-  // slow path proves nothing about chaining.
-  EXPECT_GT(accumulated, 0u);
-  EXPECT_GT(posted, 0u);
+  // The shape exists to drive the inline fast path: across the sweep
+  // inline sends must actually have fired. Every data WR rings its own
+  // doorbell — the middleware never chains.
   EXPECT_GT(inlined, 0u);
-  EXPECT_GT(doorbell_wrs, doorbells);
+  EXPECT_GT(doorbells, 0u);
+  EXPECT_EQ(doorbell_wrs, doorbells);
 }
 
-TEST(BatchingShapes, MidChainKillsAreGeneratedAndSurvived) {
+TEST(BatchingShapes, MidSendKillsAreGeneratedAndSurvived) {
   // The generator plants qp_kill faults ~300 ns after send bursts when the
-  // batching shape is on: chains die between accumulate and completion.
-  // Check the faults exist (on top of the base fault budget) and that runs
-  // with them still pass every oracle, including conservation.
+  // batching shape is on: WRs die between framing and completion. Check
+  // the faults exist (on top of the base fault budget) and that runs with
+  // them still pass every oracle.
   std::size_t with_extra_kills = 0;
   std::size_t i = 0;
   for (const std::uint64_t seed : smoke_seeds(20)) {
@@ -85,20 +78,15 @@ TEST(BatchingShapes, MidChainKillsAreGeneratedAndSurvived) {
 }
 
 TEST(BatchingShapes, RunsAreDeterministicUnderBatching) {
-  // The accumulator, the schedule_after(0) fallback flush, the poll-end
-  // flush and inline WQE payloads all ride the engine; none of it may
-  // introduce nondeterminism — and the flight-recorder dumps (which now
-  // carry batch_flush records) must come out bit-identical across replays.
+  // Inline WQE payloads and mid-send kills all ride the engine; none of it
+  // may introduce nondeterminism — and the flight-recorder dumps must come
+  // out bit-identical across replays.
   const Schedule s = generate_schedule(4242, batching_params());
   RunOptions opt = quiet();
   opt.capture_dumps = true;
   const RunReport a = run_schedule(s, opt);
   const RunReport b = run_schedule(s, opt);
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.batch_accumulated, b.batch_accumulated);
-  EXPECT_EQ(a.batch_posted, b.batch_posted);
-  EXPECT_EQ(a.batch_deferred, b.batch_deferred);
-  EXPECT_EQ(a.batch_dropped, b.batch_dropped);
   EXPECT_EQ(a.inline_sends, b.inline_sends);
   EXPECT_EQ(a.doorbells, b.doorbells);
   EXPECT_EQ(a.violations, b.violations);
@@ -118,7 +106,7 @@ TEST(BatchingShapes, ReplayRoundTripsBatchShape) {
 }
 
 TEST(BatchingShapes, LegacyReplayFilesWithoutBatchingKeyStillLoad) {
-  // A replay written before doorbell batching existed has no `batching`
+  // A replay written before the batching shape existed has no `batching`
   // key: it must parse, default to shape 0 (production-default knobs on
   // every node, no size skew, no extra kills), and run unchanged.
   const std::string legacy =

@@ -123,6 +123,47 @@ TEST(Health, DegradedOnProbeRttInflation) {
   EXPECT_GE(v->probes, 50u);
 }
 
+TEST(Health, CrcStormSpreadOverScansGradesDegradedOnce) {
+  sim::Engine eng;
+  Config cfg = health_cfg();
+  ASSERT_EQ(cfg.health_crc_degraded, 8u);
+  HealthMonitor hm(eng, cfg);
+  hm.register_channel(3);
+  auto scan = [&](int crc_failures) {
+    for (int i = 0; i < crc_failures; ++i) hm.note_crc_failure(3);
+    hm.evaluate(eng.now());
+  };
+
+  // A trickle of one failure a scan is not a storm.
+  for (int i = 0; i < 8; ++i) scan(1);
+  for (int i = 0; i < 4; ++i) scan(0);
+  EXPECT_EQ(hm.state(3), PeerState::healthy);
+  EXPECT_EQ(hm.stats().crc_storms, 0u);
+
+  // Go-back-N bursts: 5 failures, a clean scan, 4 more. No scan alone
+  // reaches 8; the window over the last four does.
+  scan(5);
+  scan(0);
+  EXPECT_EQ(hm.state(3), PeerState::healthy);
+  scan(4);
+  EXPECT_EQ(hm.state(3), PeerState::degraded);
+  EXPECT_EQ(hm.stats().crc_storms, 1u);
+
+  // The grade holds while the storm lasts; it is counted once.
+  scan(0);
+  scan(5);
+  EXPECT_EQ(hm.state(3), PeerState::degraded);
+  EXPECT_EQ(hm.stats().crc_storms, 1u);
+  EXPECT_EQ(hm.stats().degraded_transitions, 1u);
+
+  // Four clean scans empty the window; a new storm counts again.
+  for (int i = 0; i < 4; ++i) scan(0);
+  EXPECT_EQ(hm.state(3), PeerState::healthy);
+  scan(8);
+  EXPECT_EQ(hm.state(3), PeerState::degraded);
+  EXPECT_EQ(hm.stats().crc_storms, 2u);
+}
+
 TEST(Health, BreakerGateAdmitsOnlyDesignatedProbers) {
   sim::Engine eng;
   Config cfg = health_cfg();

@@ -82,16 +82,14 @@ TEST(Overload, BoundedQueueRejectsThenSignalsWritable) {
   EXPECT_EQ(delivered, 7);
 }
 
-TEST(Overload, WouldBlockMidBurstKeepsAccumulatedChainIntact) {
+TEST(Overload, WouldBlockMidBurstDeliversEveryAcceptedSend) {
   // The admission reject lands while earlier messages from the same burst
-  // are still parked in the doorbell-batch accumulator: the reject must not
-  // disturb the chain — every accepted message flushes and delivers, every
-  // rejected one stays invisible (oracle 10), and the conservation ledger
-  // balances with nothing left pending.
+  // are still on their way to the NIC: the reject must not disturb them —
+  // every accepted message delivers, every rejected one stays invisible
+  // (oracle 10).
   Config cfg;
   cfg.window_depth = 4;
   cfg.tx_queue_max_msgs = 4;
-  cfg.tx_batch_max_wrs = 16;  // wider than the whole admitted burst
   AsymPair t(cfg, cfg);
   t.establish();
   int delivered = 0;
@@ -106,13 +104,6 @@ TEST(Overload, WouldBlockMidBurstKeepsAccumulatedChainIntact) {
   EXPECT_EQ(rejected, 4);
   t.run(millis(10));
   EXPECT_EQ(delivered, accepted);
-  EXPECT_EQ(t.client.batch_accumulated(),
-            t.client.batch_posted() + t.client.batch_deferred() +
-                t.client.batch_dropped() + t.client.batch_pending());
-  EXPECT_EQ(t.client.batch_pending(), 0u);
-  // The burst actually chained: doorbells carried more than one WR each.
-  EXPECT_GT(t.client_ch->stats().doorbell_wrs,
-            t.client_ch->stats().doorbells);
 }
 
 TEST(Overload, EmptyQueueAdmitsPayloadLargerThanByteCap) {

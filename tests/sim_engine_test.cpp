@@ -1,11 +1,10 @@
-// Engine, timer, and coroutine-task behaviour: ordering, cancellation,
+// Engine and timer behaviour: ordering, cancellation,
 // determinism — everything the upper layers assume about time.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/task.hpp"
 #include "sim/timer.hpp"
 
 namespace xrdma::sim {
@@ -153,41 +152,6 @@ TEST(DeadlineTimer, RearmPushesDeadlineBack) {
   eng.schedule_at(micros(5), [&] { timer.arm_after(micros(10)); });
   eng.run();
   EXPECT_EQ(fired_at, micros(15));
-}
-
-TEST(Task, SleepAdvancesSimTime) {
-  Engine eng;
-  Nanos woke = -1;
-  auto body = [](Engine& e, Nanos& woke_out) -> Task {
-    co_await sleep(e, micros(42));
-    woke_out = e.now();
-  };
-  body(eng, woke);
-  eng.run();
-  EXPECT_EQ(woke, micros(42));
-}
-
-TEST(Task, CompletionDeliversValue) {
-  Engine eng;
-  Completion<int> done;
-  int got = 0;
-  auto body = [](Completion<int>& c, int& out) -> Task {
-    out = co_await c;
-  };
-  body(done, got);
-  eng.schedule_after(micros(1), [&] { done.complete(7); });
-  eng.run();
-  EXPECT_EQ(got, 7);
-}
-
-TEST(Task, CompletionAlreadyDoneResumesImmediately) {
-  Engine eng;
-  Completion<int> done;
-  done.complete(9);
-  int got = 0;
-  auto body = [](Completion<int>& c, int& out) -> Task { out = co_await c; };
-  body(done, got);
-  EXPECT_EQ(got, 9);
 }
 
 TEST(Engine, DeterministicEventCount) {
