@@ -1,9 +1,13 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
-// event engine, the seq-ack window, the memory-cache allocator, histogram
-// recording, and wire header encode/decode. These bound the simulator's
-// own throughput (events/sec) and the middleware's per-message CPU work.
+// event engine and deadline-timer re-arm, CRC32C, the seq-ack window, the
+// memory-cache allocator, histogram recording, and wire header
+// encode/decode. These bound the simulator's own throughput (events/sec)
+// and the middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/crc32c.hpp"
 #include "common/histogram.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
@@ -12,6 +16,7 @@
 #include "core/context.hpp"
 #include "core/window.hpp"
 #include "sim/engine.hpp"
+#include "sim/timer.hpp"
 #include "testbed/cluster.hpp"
 
 namespace {
@@ -44,6 +49,50 @@ void BM_EngineDeepQueue(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EngineDeepQueue)->Arg(1000)->Arg(100000);
+
+void BM_DeadlineTimerRearm(benchmark::State& state) {
+  // Pushing back a pending deadline (keepalive deferral on every send,
+  // MemCache idle-shrink on every alloc/free) with `depth` other events
+  // pending. The deadline alternates between the front and the back of
+  // the queue, so every re-arm crosses the whole heap: the worst case.
+  const int depth = static_cast<int>(state.range(0));
+  sim::Engine eng;
+  for (int i = 0; i < depth; ++i) eng.schedule_after(seconds(1) + i, [] {});
+  sim::DeadlineTimer timer(eng, [] {});
+  bool far = false;
+  for (auto _ : state) {
+    timer.arm_after(far ? seconds(2) : millis(1));
+    far = !far;
+  }
+  state.counters["pending"] = static_cast<double>(eng.pending());
+}
+BENCHMARK(BM_DeadlineTimerRearm)->Arg(1000)->Arg(100000);
+
+template <std::uint32_t (*Extend)(std::uint32_t, const void*, std::size_t)>
+void crc_bench(benchmark::State& state) {
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131);
+  }
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Extend(crc, buf.data(), buf.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  // The dispatched path: the SSE4.2 instruction where the CPU has it.
+  state.SetLabel(crc32c_hardware() ? "sse4.2" : "table");
+  crc_bench<crc32c_extend>(state);
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(65536);
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  crc_bench<crc32c_extend_portable>(state);
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_RingBufferPushPop(benchmark::State& state) {
   RingBuffer<std::uint64_t> ring(64);

@@ -65,8 +65,9 @@ class DeadlineTimer {
   DeadlineTimer& operator=(const DeadlineTimer&) = delete;
 
   /// (Re)arm to fire `delay` from now; replaces any pending deadline.
+  /// A pending deadline is moved in place, without a new event.
   void arm_after(Nanos delay) {
-    engine_.cancel(pending_);
+    if (engine_.reschedule_at(pending_, engine_.now() + delay)) return;
     pending_ = engine_.schedule_after(delay, [this] { fn_(); });
   }
 

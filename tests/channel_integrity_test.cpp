@@ -7,12 +7,15 @@
 // never be mutated in place).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "analysis/filter.hpp"
 #include "common/crc32c.hpp"
 #include "core/context.hpp"
+#include "test_seed.hpp"
 #include "testbed/cluster.hpp"
 
 namespace xrdma::core {
@@ -31,6 +34,57 @@ TEST(Crc32c, KnownVectorAndExtendComposition) {
     std::uint32_t c = crc32c(s, cut);
     c = crc32c_extend(c, s + cut, 9 - cut);
     EXPECT_EQ(c, 0xE3069283u) << "split at " << cut;
+  }
+}
+
+TEST(Crc32c, DispatchedPathMatchesPortableTable) {
+  // crc32c_extend() runs the SSE4.2 instruction where the CPU has it; on
+  // any other CPU both sides are the table and the test still runs. Every
+  // length below 64 B is covered (the 8-byte loop's tail cases), then
+  // random lengths up to 70 KB, each at all eight start alignments and
+  // from a random running CRC.
+  XRDMA_CASE_SEED(seed);
+  std::mt19937_64 rng(seed);
+  constexpr std::size_t kMax = 70 * 1024;
+  std::vector<std::uint8_t> buf(kMax + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  std::uniform_int_distribution<std::size_t> any_len(0, kMax);
+  for (std::size_t i = 0; i < 64 + 200; ++i) {
+    const std::size_t len = i < 64 ? i : any_len(rng);
+    const auto start = static_cast<std::uint32_t>(rng());
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32c_extend(start, p, len),
+                crc32c_extend_portable(start, p, len))
+          << "len " << len << " offset " << off << " hardware "
+          << crc32c_hardware();
+    }
+  }
+}
+
+TEST(Crc32c, ExtendChainsAcrossRandomSplits) {
+  // Feeding a buffer in random pieces, alternating the dispatched and the
+  // portable path, must equal the one-shot table result.
+  XRDMA_CASE_SEED(seed);
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> buf(70 * 1024);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t len = rng() % (buf.size() + 1);
+    const std::uint32_t want = crc32c_extend_portable(0, buf.data(), len);
+    std::uint32_t c = 0;
+    std::size_t at = 0;
+    bool hw = round % 2 == 0;
+    while (at < len) {
+      const std::size_t piece = std::min<std::size_t>(
+          len - at, rng() % (rng() % 2 ? 16 : 9000) + 1);
+      c = hw ? crc32c_extend(c, buf.data() + at, piece)
+             : crc32c_extend_portable(c, buf.data() + at, piece);
+      hw = !hw;
+      at += piece;
+    }
+    EXPECT_EQ(c, want) << "len " << len;
+    EXPECT_EQ(crc32c(buf.data(), len), want) << "len " << len;
   }
 }
 

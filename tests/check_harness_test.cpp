@@ -4,8 +4,11 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/filter.hpp"
 #include "analysis/recorder.hpp"
@@ -150,6 +153,145 @@ TEST(Determinism, SameSeedReplayProducesBitIdenticalFlightDumps) {
   EXPECT_EQ(dump.reason, "capture");
   EXPECT_FALSE(dump.records.empty());
   EXPECT_FALSE(dump.metrics.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: a behaviour lock across refactors.
+//
+// (digest, events) for seeds 1..5 of the default schedule and of every
+// schedule shape, recorded before the indexed-heap engine replaced the
+// shared_ptr priority queue and checked unchanged after it. A change that
+// moves any of these values changed observable behaviour: if that is
+// intended, re-record the table and say why in CHANGES.md.
+
+struct GoldenShape {
+  const char* name;
+  ScheduleParams params;
+};
+
+/// Knobs follow each shape's own check_*_test sweep; `incast` runs the
+/// bounded-queue storm alone and `mem_budget` adds the shrunken pools.
+std::vector<GoldenShape> golden_shapes() {
+  std::vector<GoldenShape> shapes;
+  shapes.push_back({"default", ScheduleParams{}});
+  ScheduleParams p;
+  p.num_hosts = 4;
+  p.incast = true;
+  p.tx_queue_cap = 2;
+  shapes.push_back({"incast", p});
+  p = {};
+  p.num_hosts = 4;
+  p.num_ops = 300;
+  p.num_faults = 8;
+  p.horizon = millis(20);
+  p.window_depth = 2;
+  p.incast = true;
+  p.mem_budget_mb = 2;
+  shapes.push_back({"mem_budget", p});
+  p = {};
+  p.num_ops = 80;
+  p.num_faults = 6;
+  p.horizon = millis(120);
+  p.flap_cycles = 2;
+  shapes.push_back({"flap", p});
+  p = {};
+  p.num_faults = 0;
+  p.brownout_delay_us = 3000;
+  p.health_adaptive = true;
+  shapes.push_back({"brownout_adaptive", p});
+  p = {};
+  p.num_ops = 90;
+  p.num_faults = 4;
+  p.horizon = millis(120);
+  p.drain_cycles = 2;
+  shapes.push_back({"drain", p});
+  p = {};
+  p.num_hosts = 4;
+  p.num_faults = 8;
+  p.mixed_versions = true;
+  shapes.push_back({"mixed_versions", p});
+  p = {};
+  p.num_ops = 120;
+  p.num_faults = 10;
+  p.batch_shape = 1;
+  shapes.push_back({"batch_shape", p});
+  p = {};
+  p.corruption_shape = 1;
+  shapes.push_back({"corruption_shape", p});
+  return shapes;
+}
+
+struct GoldenRun {
+  const char* shape;
+  std::uint64_t seed;
+  std::uint64_t digest;
+  std::uint64_t events;
+};
+
+constexpr GoldenRun kGoldenRuns[] = {
+{"default", 1, 0x2467ddd80a946c07ull, 292741llu},
+    {"default", 2, 0x7ca2919c6f8508d3ull, 294009llu},
+    {"default", 3, 0x991f87ecc1fe7622ull, 293031llu},
+    {"default", 4, 0x3e9096686db51f9bull, 339574llu},
+    {"default", 5, 0xa5313cdf8b59e159ull, 294158llu},
+    {"incast", 1, 0xdd002f4524eacc56ull, 376591llu},
+    {"incast", 2, 0x7cbe920200995786ull, 442151llu},
+    {"incast", 3, 0x34fd29718fcc1f73ull, 341435llu},
+    {"incast", 4, 0x5cf0076bb6050b6cull, 377028llu},
+    {"incast", 5, 0x3ce6890bcfa6e989ull, 379899llu},
+    {"mem_budget", 1, 0xeab4a987fdcec35cull, 306478llu},
+    {"mem_budget", 2, 0x2f736d24f67d4405ull, 306024llu},
+    {"mem_budget", 3, 0x22c41c727f68ce4dull, 368270llu},
+    {"mem_budget", 4, 0xfb77041ec6cb3d13ull, 376892llu},
+    {"mem_budget", 5, 0xa34aef645e7fc286ull, 405303llu},
+    {"flap", 1, 0x80c14145bc14fa73ull, 562949llu},
+    {"flap", 2, 0x8720c7b6c25b3341ull, 564013llu},
+    {"flap", 3, 0x53e1a159217ff073ull, 561547llu},
+    {"flap", 4, 0x1fd8cfc13247b463ull, 561306llu},
+    {"flap", 5, 0x4fa09b6e4d9cbbfbull, 536821llu},
+    {"brownout_adaptive", 1, 0xb0db5987a9f4ae5dull, 292417llu},
+    {"brownout_adaptive", 2, 0x6407fa1f4cb22e81ull, 267851llu},
+    {"brownout_adaptive", 3, 0xedeadbf0eca10098ull, 294097llu},
+    {"brownout_adaptive", 4, 0xd99482405692a87dull, 291256llu},
+    {"brownout_adaptive", 5, 0xe2a8346ec040f834ull, 294109llu},
+    {"drain", 1, 0x47c86d5a200b7bc8ull, 554498llu},
+    {"drain", 2, 0x96b6778939083eccull, 556725llu},
+    {"drain", 3, 0x8811043a5561b7b4ull, 534235llu},
+    {"drain", 4, 0x8f2bfe9a4204da33ull, 582564llu},
+    {"drain", 5, 0x36d8e66d9530682bull, 532795llu},
+    {"mixed_versions", 1, 0xbb4a0a1840a8e9acull, 391305llu},
+    {"mixed_versions", 2, 0x188ca3bab3007216ull, 394020llu},
+    {"mixed_versions", 3, 0xde40640e6daae66eull, 391167llu},
+    {"mixed_versions", 4, 0x56abc81827831352ull, 459003llu},
+    {"mixed_versions", 5, 0x2970d0e50727c65dull, 394247llu},
+    {"batch_shape", 1, 0x338aff23413c306full, 335748llu},
+    {"batch_shape", 2, 0xf1ab06bc573acd62ull, 336535llu},
+    {"batch_shape", 3, 0x21626b170cd78954ull, 287372llu},
+    {"batch_shape", 4, 0x9e97c1ad9bf85effull, 310476llu},
+    {"batch_shape", 5, 0xeb632a1f53e3d674ull, 336265llu},
+    {"corruption_shape", 1, 0x850f34135ce5b560ull, 292819llu},
+    {"corruption_shape", 2, 0x0f766d2731a000d0ull, 268833llu},
+    {"corruption_shape", 3, 0x1daecc15b297f893ull, 267702llu},
+    {"corruption_shape", 4, 0x5e377e298778401full, 339910llu},
+    {"corruption_shape", 5, 0x4c20da2932c1035bull, 294972llu},
+};
+
+TEST(GoldenDigests, EveryShapeMatchesTheRecordedTable) {
+  std::size_t checked = 0;
+  for (const GoldenShape& shape : golden_shapes()) {
+    for (const GoldenRun& g : kGoldenRuns) {
+      if (std::string(g.shape) != shape.name) continue;
+      SCOPED_TRACE(testing::Message()
+                   << "shape " << shape.name << " XCHECK_SEED=" << g.seed);
+      const RunReport r =
+          run_schedule(generate_schedule(g.seed, shape.params), quiet());
+      EXPECT_TRUE(r.passed()) << describe(r);
+      EXPECT_EQ(r.digest, g.digest);
+      EXPECT_EQ(r.events, g.events);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kGoldenRuns));
 }
 
 // ---------------------------------------------------------------------------
