@@ -146,10 +146,12 @@ void ablate_polling() {
     cfg.poll_mode = mode;
     cfg.hybrid_idle_spins = 50;
     XrPair pair(cfg);
-    // XrPair forces busy for determinism; restore the requested mode.
+    // XrPair busy-polls through the handshake; switch to the requested mode.
     pair.server.config().poll_mode = mode;
     pair.client.config().poll_mode = mode;
     tools::perf_echo_responder(*pair.server_ch);
+    const std::uint64_t polls0 = pair.client.stats().polls;
+    const std::uint64_t empty0 = pair.client.stats().empty_polls;
 
     Histogram lat;
     int done = 0;
@@ -167,14 +169,15 @@ void ablate_polling() {
     driver.start();
     pair.run_until([&] { return done >= total; }, seconds(2));
     driver.stop();
-    const auto& st = pair.client.stats();
+    // Polls of the RPC phase only.
+    const std::uint64_t polls = pair.client.stats().polls - polls0;
+    const std::uint64_t empty = pair.client.stats().empty_polls - empty0;
     const char* name = mode == core::PollMode::busy     ? "busy"
                        : mode == core::PollMode::hybrid ? "hybrid"
                                                         : "event";
-    print_row({name, fmt("%.2f", lat.mean() / 1000.0),
-               std::to_string(st.polls),
-               fmt("%.1f", 100.0 * static_cast<double>(st.empty_polls) /
-                               static_cast<double>(st.polls))});
+    print_row({name, fmt("%.2f", lat.mean() / 1000.0), std::to_string(polls),
+               fmt("%.1f", 100.0 * static_cast<double>(empty) /
+                               static_cast<double>(polls))});
   }
   std::printf("-> busy polling minimizes latency but burns empty polls "
               "(CPU); event mode saves CPU at a wakeup penalty per message; "

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
-// event engine and deadline-timer re-arm, CRC32C, the seq-ack window, the
-// memory-cache allocator, histogram recording, and wire header
-// encode/decode. These bound the simulator's own throughput (events/sec)
-// and the middleware's per-message CPU work.
+// event engine, deadline-timer re-arm and idle busy polling, CRC32C, the
+// seq-ack window, the memory-cache allocator, histogram recording, and wire
+// header encode/decode. These bound the simulator's own throughput
+// (events/sec) and the middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -67,6 +67,30 @@ void BM_DeadlineTimerRearm(benchmark::State& state) {
   state.counters["pending"] = static_cast<double>(eng.pending());
 }
 BENCHMARK(BM_DeadlineTimerRearm)->Arg(1000)->Arg(100000);
+
+void BM_IdleBusyPoll(benchmark::State& state) {
+  // Two busy-polling contexts with nothing to do, 1 ms of simulated time
+  // per iteration: 20k empty polls, accounted as quiet-train ticks rather
+  // than fired one engine event each.
+  testbed::Cluster cluster;
+  core::Config cfg;
+  cfg.poll_mode = core::PollMode::busy;
+  core::Context a(cluster.rnic(0), cluster.cm(), cfg);
+  core::Context b(cluster.rnic(1), cluster.cm(), cfg);
+  a.start_polling_loop();
+  b.start_polling_loop();
+  sim::Engine& eng = cluster.engine();
+  const std::uint64_t fired0 = eng.events_fired();
+  const std::uint64_t polls0 = a.stats().polls + b.stats().polls;
+  for (auto _ : state) eng.run_for(millis(1));
+  state.counters["events_fired"] = benchmark::Counter(
+      static_cast<double>(eng.events_fired() - fired0),
+      benchmark::Counter::kAvgIterations);
+  state.counters["polls"] = benchmark::Counter(
+      static_cast<double>(a.stats().polls + b.stats().polls - polls0),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_IdleBusyPoll);
 
 template <std::uint32_t (*Extend)(std::uint32_t, const void*, std::size_t)>
 void crc_bench(benchmark::State& state) {

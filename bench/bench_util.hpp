@@ -12,7 +12,9 @@
 
 namespace xrdma::bench {
 
-/// Two connected X-RDMA contexts on a two-host rack.
+/// Two connected X-RDMA contexts on a two-host rack, busy-polling from
+/// before the handshake (a context that starts polling late misses its
+/// keepalives and runs a spurious recovery).
 struct XrPair {
   testbed::Cluster cluster;
   core::Context server;
@@ -22,22 +24,24 @@ struct XrPair {
 
   explicit XrPair(core::Config cfg = {}, testbed::ClusterConfig ccfg = {})
       : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
+        server(cluster.rnic(1), cluster.cm(), busy(cfg)),
+        client(cluster.rnic(0), cluster.cm(), busy(cfg)) {
+    server.start_polling_loop();
+    client.start_polling_loop();
     server.listen(7000, [this](core::Channel& ch) { server_ch = &ch; });
     client.connect(1, 7000,
                    [this](Result<core::Channel*> r) { client_ch = r.value(); });
     cluster.engine().run_for(millis(30));
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
+  }
+
+  static core::Config busy(core::Config cfg) {
+    cfg.poll_mode = core::PollMode::busy;
+    return cfg;
   }
 
   void run(Nanos d) { cluster.engine().run_for(d); }
 
-  /// Run in steps until `pred` holds (or `limit` elapses). Keeps busy-poll
-  /// event volume bounded: never simulate long past completion.
+  /// Run in steps until `pred` holds (or `limit` elapses).
   template <typename Pred>
   bool run_until(Pred pred, Nanos limit, Nanos step = millis(1)) {
     const Nanos end = cluster.engine().now() + limit;

@@ -8,6 +8,8 @@
 // passing run's candidate executions.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "check/harness.hpp"
 #include "check/schedule.hpp"
 
@@ -31,15 +33,27 @@ void BM_GenerateSchedule(benchmark::State& state) {
 BENCHMARK(BM_GenerateSchedule);
 
 void BM_CheckSeed(benchmark::State& state) {
+  // X-Check throughput: seeds per minute, plus the logical event rate
+  // (fired events and accounted quiet poll ticks) and the events actually
+  // fired per seed.
   std::uint64_t seed = 1;
   std::uint64_t events = 0;
+  std::uint64_t fired = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (auto _ : state) {
     const RunReport r = check_seed(seed++, {}, quiet());
     if (!r.passed()) state.SkipWithError("oracle violation in bench run");
     events += r.events;
+    fired += r.events_fired;
   }
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
   state.counters["sim_events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
+  state.counters["seeds/min"] =
+      60.0 * static_cast<double>(state.iterations()) / wall.count();
+  state.counters["fired/seed"] = benchmark::Counter(
+      static_cast<double>(fired), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_CheckSeed)->Unit(benchmark::kMillisecond);
 

@@ -759,6 +759,7 @@ void Runner::finish_report() {
   rep_.unprotected_anomalies += spans_.tolerated_delivers();
   rep_.oracle_observations = live_.observations();
   rep_.events = cluster_->engine().events_processed();
+  rep_.events_fired = cluster_->engine().events_fired();
   rep_.end_time = now();
   for (auto& f : filters_) {
     for (std::size_t k = 0; k < analysis::kNumFaultKinds; ++k) {

@@ -54,8 +54,10 @@ struct RunOptions {
   /// Evaluate the continuous oracles (2, 4, 5) from the engine's post-event
   /// hook — at quiescent points between simulation events.
   bool continuous_checks = true;
-  /// Observe every Nth engine event (1 = every event; higher = cheaper).
-  std::uint32_t probe_stride = 16;
+  /// Observe after every Nth fired engine event (1 = every one; higher =
+  /// cheaper). Quiet poll ticks change nothing the oracles read, so 1
+  /// checks every state a run passes through.
+  std::uint32_t probe_stride = 1;
   /// On failure, dump the schedule here for replay ("" = don't).
   std::string replay_path;
   /// On failure, flush each context's flight-recorder ring to
@@ -122,7 +124,8 @@ struct RunReport {
   std::uint64_t span_posts = 0;
   std::uint64_t span_delivers = 0;
   std::uint64_t oracle_observations = 0;
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;  // logical: fired plus quiet-train ticks
+  std::uint64_t events_fired = 0;
   Nanos end_time = 0;
   /// Encoded per-context `.xrd` dumps (RunOptions::capture_dumps). Records
   /// carry only sim time and deterministic payloads, so two runs of one

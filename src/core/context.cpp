@@ -181,6 +181,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
 }
 
 Context::~Context() {
+  engine().cancel(quiet_tick_);
   scan_timer_.stop();
   for (const MemBlock& block : srq_bounce_) ctrl_cache_.free(block);
 }
@@ -662,43 +663,69 @@ void Context::stop_polling_loop() { loop_running_ = false; }
 void Context::poll_loop_step() {
   if (!loop_running_) return;
   const int n = polling();
-  switch (cfg_.poll_mode) {
-    case PollMode::busy:
-      engine().schedule_after(cfg_.busy_poll_interval,
-                              [this] { poll_loop_step(); });
+  if (cfg_.poll_mode == PollMode::hybrid) {
+    if (n > 0) {
+      idle_spins_ = 0;
+    } else if (++idle_spins_ >= cfg_.hybrid_idle_spins) {
+      idle_spins_ = 0;
+      park();
       return;
-    case PollMode::hybrid:
-      if (n > 0) {
-        idle_spins_ = 0;
-      } else if (++idle_spins_ >= cfg_.hybrid_idle_spins) {
-        idle_spins_ = 0;
-        park();
-        return;
-      }
-      engine().schedule_after(cfg_.busy_poll_interval,
-                              [this] { poll_loop_step(); });
-      return;
-    case PollMode::event:
-      if (n > 0) {
-        engine().schedule_after(cfg_.busy_poll_interval,
-                                [this] { poll_loop_step(); });
-      } else {
-        park();
-      }
-      return;
+    }
+  } else if (cfg_.poll_mode == PollMode::event && n == 0) {
+    park();
+    return;
+  }
+  auto tick = [this] { poll_loop_step(); };
+  // One train at a time: a second loop chain (stop and restart before the
+  // old tick fired) fires every tick. Arming needs empty CQs (an armed CQ
+  // holding a CQE notifies at once); the next CQE wakes the train, and
+  // readies the eventfd as the park() arm this one replaces would have.
+  if (quiet_tick_.armed() || quiet_budget(cfg_.busy_poll_interval) == 0 ||
+      nic_.cq_depth_used(send_cq_.id()) + nic_.cq_depth_used(recv_cq_.id())) {
+    engine().schedule_after(cfg_.busy_poll_interval, tick);
+    return;
+  }
+  quiet_tick_ = engine().schedule_quiet(cfg_.busy_poll_interval, *this, tick);
+  auto wake = [this] { engine().wake(quiet_tick_); event_fd_.set_ready(); };
+  send_cq_.arm(wake);
+  recv_cq_.arm(wake);
+}
+
+std::uint64_t Context::quiet_budget(Nanos period) const {
+  // Ticks that are an empty poll and nothing more under the current state
+  // (which only events change; the engine asks again before each one).
+  const bool plain = loop_running_ && period > 0 &&
+                     period == cfg_.busy_poll_interval &&
+                     period <= cfg_.polling_warn_cycle;  // no watchdog trip
+  if (!plain) return 0;
+  if (cfg_.poll_mode == PollMode::busy) return sim::Engine::kUnbounded;
+  if (cfg_.poll_mode != PollMode::hybrid) return 0;
+  const std::uint64_t spins = idle_spins_ + 1u;  // the spin at the cap parks
+  return spins < cfg_.hybrid_idle_spins ? cfg_.hybrid_idle_spins - spins : 0;
+}
+
+void Context::account_quiet(std::uint64_t n, Nanos last, Nanos period) {
+  // `n` empty polls `period` apart; only the first gap can be shorter (a
+  // direct polling() call since the last tick).
+  const Nanos first = last - static_cast<Nanos>(n - 1) * period;
+  stats_.polls += n;
+  stats_.empty_polls += n;
+  stats_.worst_poll_gap = std::max(
+      {stats_.worst_poll_gap, first - last_poll_, n > 1 ? period : 0});
+  last_poll_ = last;
+  if (cfg_.poll_mode == PollMode::hybrid) {
+    idle_spins_ += static_cast<std::uint32_t>(n);
   }
 }
 
 void Context::park() {
   ++stats_.parks;
-  parked_ = true;
   event_fd_.clear();
   auto wake = [this] { event_fd_.set_ready(); };
   send_cq_.arm(wake);
   recv_cq_.arm(wake);
   event_fd_.wait([this] {
     if (!loop_running_) return;
-    parked_ = false;
     ++stats_.wakeups;
     poll_loop_step();
   });

@@ -58,7 +58,7 @@ struct TraceReport {
   std::uint64_t trace_id = 0;
 };
 
-class Context {
+class Context : private sim::Engine::QuietOwner {
  public:
   using ChannelHandler = std::function<void(Channel&)>;
   using ConnectCallback = std::function<void(Result<Channel*>)>;
@@ -115,7 +115,10 @@ class Context {
 
   // --- Thread model ----------------------------------------------------------
   /// Drives polling() according to Config::poll_mode (busy / hybrid /
-  /// event) until stop_polling_loop().
+  /// event) until stop_polling_loop(). While both CQs stay empty, busy and
+  /// hybrid ticks run as an engine quiet train: accounted, not fired, until
+  /// a CQ push or a tick that does more than an empty poll (a hybrid park,
+  /// a watchdog trip, the loop stopped or retuned) makes them real again.
   void start_polling_loop();
   void stop_polling_loop();
   bool polling_loop_running() const { return loop_running_; }
@@ -288,6 +291,8 @@ class Context {
   void drain_progress();
   void poll_loop_step();
   void park();
+  std::uint64_t quiet_budget(Nanos period) const override;
+  void account_quiet(std::uint64_t n, Nanos last, Nanos period) override;
 
   /// Channel tx-queue accounting (signed so dequeue/reset can subtract).
   void note_queued_tx(std::int64_t delta) {
@@ -304,6 +309,8 @@ class Context {
   HealthMonitor health_;
 
   verbs::Pd pd_;
+  // The poll loop's tick while it is quiet; outlives the CQ arms.
+  sim::Engine::EventId quiet_tick_;
   verbs::Cq send_cq_;
   verbs::Cq recv_cq_;
   rnic::SrqId srq_ = rnic::kInvalidId;
@@ -338,7 +345,6 @@ class Context {
 
   Nanos last_poll_ = -1;
   bool loop_running_ = false;
-  bool parked_ = false;
   std::uint32_t idle_spins_ = 0;
 
   Nanos clock_skew_ = 0;

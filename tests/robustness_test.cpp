@@ -3,8 +3,10 @@
 // modes, the event-fd path, and slow-poll detection.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 
 #include "analysis/monitor.hpp"
 #include "core/context.hpp"
@@ -244,6 +246,208 @@ TEST(Robustness, BidirectionalRpcUnderLoad) {
   t.cluster.engine().run_for(millis(100));
   EXPECT_EQ(client_ok, 100);
   EXPECT_EQ(server_ok, 100);
+}
+
+// --- Quiet poll trains: an idle busy/hybrid loop is accounted, not fired,
+// and every counter and firing order matches the per-tick loop. ----------
+
+Config busy_config() {
+  Config cfg;
+  cfg.poll_mode = core::PollMode::busy;
+  return cfg;
+}
+
+TEST(QuietPolling, IdleBusyLoopCountsEveryTickWithoutFiringThem) {
+  testbed::Cluster cluster;
+  Context ctx(cluster.rnic(0), cluster.cm(), busy_config());
+  sim::Engine& eng = cluster.engine();
+  const std::uint64_t fired0 = eng.events_fired();
+  const std::uint64_t logical0 = eng.events_processed();
+  ctx.start_polling_loop();
+  eng.run_until(millis(10));  // ticks at 0, 100 ns, ..., 10 ms
+  EXPECT_EQ(ctx.stats().polls, 100001u);
+  EXPECT_EQ(ctx.stats().empty_polls, 100001u);
+  EXPECT_EQ(ctx.stats().worst_poll_gap, nanos(100));
+  EXPECT_EQ(ctx.stats().watchdog_trips, 0u);
+  EXPECT_GE(eng.events_processed() - logical0, 100001u);
+  // The first tick and the 1 ms housekeeping scans.
+  EXPECT_LE(eng.events_fired() - fired0, 12u);
+}
+
+TEST(QuietPolling, HybridParksAtTheSameTickAsThePerTickLoop) {
+  // hybrid_idle_spins = 1000: the 1000th empty spin (at 99.9 us) parks.
+  Config cfg;
+  cfg.poll_mode = core::PollMode::hybrid;
+  testbed::Cluster cluster;
+  Context ctx(cluster.rnic(0), cluster.cm(), cfg);
+  sim::Engine& eng = cluster.engine();
+  ctx.start_polling_loop();
+  eng.run_until(nanos(99900) - 1);
+  EXPECT_EQ(ctx.stats().parks, 0u);
+  EXPECT_EQ(ctx.stats().polls, 999u);
+  eng.run_until(nanos(99900));
+  EXPECT_EQ(ctx.stats().parks, 1u);
+  EXPECT_EQ(ctx.stats().polls, 1000u);
+  eng.run_until(millis(5));
+  EXPECT_EQ(ctx.stats().parks, 1u);
+  EXPECT_EQ(ctx.stats().polls, 1000u);
+}
+
+TEST(QuietPolling, HybridParkWakeCyclesMatchThePerTickLoop) {
+  // Messages every 300 us against 20-spin hybrid pollers: each one wakes
+  // the parked server, which spins 2 us and parks again. The numbers are
+  // what the per-tick loop produced.
+  Config cfg;
+  cfg.poll_mode = core::PollMode::hybrid;
+  cfg.hybrid_idle_spins = 20;
+  Pair t(cfg);
+  t.server.start_polling_loop();
+  t.client.start_polling_loop();
+  int got = 0;
+  t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++got; });
+  for (int i = 0; i < 10; ++i) {
+    t.client_ch->send_msg(Buffer::make(64));
+    t.cluster.engine().run_for(micros(300));
+  }
+  EXPECT_EQ(got, 10);
+  EXPECT_EQ(t.server.stats().parks, 13u);
+  EXPECT_EQ(t.server.stats().wakeups, 12u);
+  EXPECT_EQ(t.server.stats().polls, 273u);
+  EXPECT_EQ(t.client.stats().parks, 13u);
+  EXPECT_EQ(t.client.stats().polls, 273u);
+  EXPECT_EQ(t.cluster.engine().events_processed(), 795u);
+}
+
+TEST(QuietPolling, LoweringTheWarnCycleOnlineTripsTheNextTick) {
+  Config cfg = busy_config();
+  cfg.busy_poll_interval = micros(5);
+  testbed::Cluster cluster;
+  Context ctx(cluster.rnic(0), cluster.cm(), cfg);
+  sim::Engine& eng = cluster.engine();
+  ctx.start_polling_loop();
+  eng.run_until(millis(1));
+  EXPECT_EQ(ctx.stats().watchdog_trips, 0u);
+  ASSERT_EQ(ctx.set_flag("polling_warn_cycle_us", 2), Errc::ok);
+  eng.run_until(millis(1) + micros(5) - 1);
+  EXPECT_EQ(ctx.stats().watchdog_trips, 0u);
+  eng.run_until(millis(1) + micros(5));  // the next tick
+  EXPECT_EQ(ctx.stats().watchdog_trips, 1u);
+  eng.run_until(millis(1) + micros(50));
+  EXPECT_EQ(ctx.stats().watchdog_trips, 10u);
+  // Raised again from inside an event: trips stop, the loop goes quiet.
+  eng.schedule_at(millis(1) + micros(52),
+                  [&] { ctx.set_flag("polling_warn_cycle_us", 1000); });
+  eng.run_until(millis(1) + micros(55));
+  EXPECT_EQ(ctx.stats().watchdog_trips, 10u);
+  const std::uint64_t fired = eng.events_fired();
+  eng.run_until(millis(2));
+  EXPECT_EQ(ctx.stats().watchdog_trips, 10u);
+  EXPECT_EQ(ctx.stats().polls, 401u);
+  EXPECT_EQ(ctx.stats().worst_poll_gap, micros(5));
+  EXPECT_LE(eng.events_fired() - fired, 3u);
+}
+
+TEST(QuietPolling, StopWhileQuietThenRestart) {
+  testbed::Cluster cluster;
+  Context ctx(cluster.rnic(0), cluster.cm(), busy_config());
+  sim::Engine& eng = cluster.engine();
+  ctx.start_polling_loop();
+  eng.run_until(millis(1));
+  EXPECT_EQ(ctx.stats().polls, 10001u);
+  ctx.stop_polling_loop();
+  const std::uint64_t logical = eng.events_processed();
+  eng.run_until(millis(2));
+  EXPECT_EQ(ctx.stats().polls, 10001u);
+  EXPECT_FALSE(ctx.polling_loop_running());
+  // The pending tick fires once and ends the loop; the rest is the scan.
+  EXPECT_EQ(eng.events_processed() - logical, 2u);
+  ctx.start_polling_loop();
+  eng.run_until(millis(3));
+  EXPECT_EQ(ctx.stats().polls, 20002u);
+  // Stop and restart before the pending tick fires: the old chain lives
+  // on next to the new one, exactly as in the per-tick loop.
+  ctx.stop_polling_loop();
+  ctx.start_polling_loop();
+  eng.run_until(millis(4));
+  EXPECT_EQ(ctx.stats().polls, 40003u);
+}
+
+TEST(QuietPolling, RestartWhileParkedKeepsTheParkedWaiter) {
+  // The server parks, then restarts its loop: the new chain goes quiet and
+  // re-arms both CQs, but the next CQE must still ready the eventfd the
+  // parked waiter sleeps on, so that waiter wakes as in the per-tick loop.
+  // The numbers are what the per-tick loop produced.
+  Config cfg;
+  cfg.poll_mode = core::PollMode::hybrid;
+  Pair t(cfg);
+  t.server.start_polling_loop();
+  t.client.start_polling_loop();
+  int got = 0;
+  t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++got; });
+  t.cluster.engine().run_for(micros(200));
+  ASSERT_EQ(t.server.stats().parks, 1u);
+  t.server.stop_polling_loop();
+  t.server.start_polling_loop();
+  t.cluster.engine().run_for(micros(10));
+  t.client_ch->send_msg(Buffer::make(64));
+  t.cluster.engine().run_for(micros(500));
+  EXPECT_EQ(got, 1);
+  EXPECT_EQ(t.server.stats().wakeups, 1u);
+  EXPECT_EQ(t.server.stats().parks, 3u);
+  EXPECT_EQ(t.server.stats().polls, 3127u);
+  EXPECT_EQ(t.cluster.engine().events_processed(), 5217u);
+}
+
+TEST(QuietPolling, CqeOnATickBoundaryIsSeenOnTheSameTick) {
+  // Sweep the server loop's phase across one 100 ns interval, so one phase
+  // puts a tick exactly on the nanosecond the message's CQE lands. The
+  // quiet loop must deliver at the same instant, with the same poll counts
+  // and logical event count, as a per-tick loop written out here.
+  struct Outcome {
+    Nanos delivered = -1;
+    std::uint64_t polls = 0;
+    std::uint64_t empty = 0;
+    Nanos worst_gap = 0;
+    std::uint64_t events = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  const auto run = [](Nanos phase, bool quiet) {
+    Pair t(busy_config());
+    sim::Engine& eng = t.cluster.engine();
+    Outcome out;
+    t.server_ch->set_on_msg(
+        [&](Channel&, Msg&&) { out.delivered = eng.now(); });
+    std::function<void()> tick = [&] {
+      t.server.polling();
+      eng.schedule_after(t.server.config().busy_poll_interval, tick);
+    };
+    eng.run_until(eng.now() + phase);
+    if (quiet) {
+      t.server.start_polling_loop();
+    } else {
+      eng.schedule_after(0, tick);
+    }
+    eng.run_for(micros(100));
+    t.client_ch->send_msg(Buffer::make(64));
+    eng.run_for(micros(100));
+    out.polls = t.server.stats().polls;
+    out.empty = t.server.stats().empty_polls;
+    out.worst_gap = t.server.stats().worst_poll_gap;
+    out.events = eng.events_processed();
+    return out;
+  };
+  std::set<Nanos> delivered;
+  for (Nanos phase = 0; phase < 100; ++phase) {
+    SCOPED_TRACE(::testing::Message() << "phase " << phase);
+    const Outcome ref = run(phase, false);
+    const Outcome got = run(phase, true);
+    ASSERT_GE(ref.delivered, 0);
+    EXPECT_EQ(got, ref);
+    delivered.insert(ref.delivered);
+  }
+  // One delivery instant per phase: the sweep covered every offset between
+  // the CQE and the tick grid, including zero.
+  EXPECT_EQ(delivered.size(), 100u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -302,6 +303,209 @@ TEST(Engine, DestroyedWithPendingEventsWhoseCapturesCancel) {
     guard.reset();
     EXPECT_TRUE(other.armed());
   }
+}
+
+// A periodic poller for the quiet-train tests. Each tick is a no-op unless
+// the poller was poked (it then logs itself and may schedule a real event)
+// or has idled `limit` ticks (it then parks, logs, and resumes later).
+// With `quiet` set its no-op ticks run as an engine quiet train; without,
+// every tick fires — the per-tick reference.
+struct Poller : Engine::QuietOwner {
+  using Log = std::vector<std::pair<int, Nanos>>;
+  Engine& eng;
+  bool quiet;
+  int id;
+  Nanos period;
+  std::uint64_t limit;
+  std::mt19937_64& rng;
+  Log& log;
+  bool poked = false;
+  bool running = true;
+  std::uint64_t idle = 0;
+  std::uint64_t noops = 0;
+  Engine::EventId quiet_tick;
+
+  Poller(Engine& e, bool q, int i, Nanos p, std::uint64_t lim,
+         std::mt19937_64& r, Log& l)
+      : eng(e), quiet(q), id(i), period(p), limit(lim), rng(r), log(l) {}
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  void tick() {
+    if (!running) return;
+    if (poked) {
+      poked = false;
+      idle = 0;
+      log.emplace_back(id, eng.now());
+      if (rng() % 2 == 0) {
+        eng.schedule_after(static_cast<Nanos>(rng() % 4) * 10,
+                           [this] { log.emplace_back(100 + id, eng.now()); });
+      }
+    } else if (++idle >= limit) {
+      idle = 0;
+      log.emplace_back(-id, eng.now());  // park; resume after a while
+      eng.schedule_after(static_cast<Nanos>(rng() % 40) * 10,
+                         [this] { tick(); });
+      return;
+    } else {
+      ++noops;
+    }
+    next();
+  }
+  void next() {
+    if (quiet && !quiet_tick.armed() && quiet_budget(period) > 0) {
+      quiet_tick = eng.schedule_quiet(period, *this, [this] { tick(); });
+    } else {
+      eng.schedule_after(period, [this] { tick(); });
+    }
+  }
+  void poke() {
+    poked = true;
+    if (quiet) eng.wake(quiet_tick);
+  }
+  std::uint64_t quiet_budget(Nanos p) const override {
+    if (poked || !running || p != period) return 0;
+    if (limit == Engine::kUnbounded) return Engine::kUnbounded;
+    return limit > idle + 1 ? limit - idle - 1 : 0;
+  }
+  void account_quiet(std::uint64_t n, Nanos, Nanos) override {
+    noops += n;
+    idle += n;
+  }
+};
+
+struct PollerRun {
+  Poller::Log log;
+  std::vector<std::uint64_t> noops;
+  std::uint64_t logical = 0;
+  std::uint64_t fired = 0;
+};
+
+// Random real events that poke, stop and restart pollers with different
+// periods and phases on a 10 ns grid (so ticks coincide with each other and
+// with events), driven by run_until slices with pokes between them.
+PollerRun run_pollers(std::uint64_t seed, bool quiet) {
+  std::mt19937_64 rng(seed);
+  Engine eng;
+  PollerRun out;
+  std::vector<std::unique_ptr<Poller>> ps;
+  const Nanos periods[] = {20, 20, 30, 40, 60, 60};
+  for (int i = 0; i < 6; ++i) {
+    const std::uint64_t limit =
+        i % 3 == 0 ? 5 + rng() % 20 : Engine::kUnbounded;
+    ps.push_back(std::make_unique<Poller>(eng, quiet, i + 1, periods[i], limit,
+                                          rng, out.log));
+    Poller* p = ps.back().get();
+    eng.schedule_at(static_cast<Nanos>(rng() % 6) * 10, [p] { p->tick(); });
+  }
+  std::function<void(int)> event = [&](int tag) {
+    out.log.emplace_back(1000 + tag, eng.now());
+    Poller& p = *ps[rng() % ps.size()];
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:
+        p.poke();
+        break;
+      case 3:
+        p.running = false;
+        break;
+      case 4:
+        if (!p.running) {
+          p.running = true;  // a restart may race the old chain's last tick
+          eng.schedule_after(0, [&p] { p.tick(); });
+        }
+        break;
+      default:
+        break;
+    }
+    for (std::uint64_t k = rng() % 3; k > 0; --k) {
+      const int next = static_cast<int>(rng() % 1000);
+      eng.schedule_after(static_cast<Nanos>(rng() % 30) * 10,
+                         [&event, next] { event(next); });
+    }
+  };
+  for (int i = 0; i < 40; ++i) {
+    const int tag = static_cast<int>(rng() % 1000);
+    eng.schedule_at(static_cast<Nanos>(rng() % 300) * 10,
+                    [&event, tag] { event(tag); });
+  }
+  while (eng.now() < micros(40)) {
+    eng.run_until(eng.now() + static_cast<Nanos>(rng() % 50) * 10);
+    if (rng() % 4 == 0) ps[rng() % ps.size()]->poke();
+    if (rng() % 16 == 0) {
+      const int tag = static_cast<int>(rng() % 1000);
+      eng.schedule_after(0, [&event, tag] { event(tag); });
+    }
+  }
+  for (const auto& p : ps) out.noops.push_back(p->noops);
+  out.logical = eng.events_processed();
+  out.fired = eng.events_fired();
+  return out;
+}
+
+TEST(QuietTrain, DifferentialAgainstPerTickLoop) {
+  // Every real event, poked tick and park must fire in the same order at
+  // the same time as when every tick fires, and every no-op tick must be
+  // accounted: same per-poller counts, same logical event count.
+  XRDMA_CASE_SEED(base);
+  for (std::uint64_t k = 0; k < 30; ++k) {
+    const std::uint64_t seed = base + k;
+    SCOPED_TRACE(::testing::Message() << "run seed " << seed);
+    const PollerRun ref = run_pollers(seed, false);
+    const PollerRun got = run_pollers(seed, true);
+    ASSERT_EQ(ref.log.size(), got.log.size());
+    for (std::size_t i = 0; i < ref.log.size(); ++i) {
+      ASSERT_EQ(ref.log[i], got.log[i]) << "entry " << i;
+    }
+    EXPECT_EQ(ref.noops, got.noops);
+    EXPECT_EQ(ref.logical, got.logical);
+    EXPECT_EQ(ref.fired, ref.logical);
+    EXPECT_LT(got.fired, ref.fired);
+  }
+}
+
+TEST(QuietTrain, RunReturnsWithOnlyUnboundedTrainsLeft) {
+  Engine eng;
+  std::mt19937_64 rng(1);
+  Poller::Log log;
+  Poller busy(eng, true, 1, 100, Engine::kUnbounded, rng, log);
+  Poller hybrid(eng, true, 2, 100, 50, rng, log);
+  hybrid.running = false;  // its last tick fires for real, then stops
+  busy.next();
+  hybrid.next();
+  eng.schedule_at(micros(10), [] {});
+  eng.run();  // a per-tick loop would spin here forever
+  EXPECT_EQ(eng.now(), micros(10));
+  // Ticks at 100 ns .. 9.9 us; the one at 10 us drew its seq after the
+  // event's, so it is still pending.
+  EXPECT_EQ(busy.noops, 99u);
+  EXPECT_EQ(eng.events_fired(), 2u);
+  EXPECT_EQ(eng.events_processed(), 101u);
+  EXPECT_EQ(eng.pending(), 0u);
+  // The train resumes under run_until and wakes like any event.
+  eng.run_until(micros(20));
+  EXPECT_EQ(busy.noops, 200u);  // through the tick at 20 us
+  busy.poke();
+  eng.run_until(micros(20) + 100);
+  EXPECT_EQ(log, (Poller::Log{{1, micros(20) + 100}}));
+}
+
+TEST(QuietTrain, CancelUnregistersAndStepCatchesUp) {
+  Engine eng;
+  std::mt19937_64 rng(1);
+  Poller::Log log;
+  Poller p(eng, true, 1, 100, Engine::kUnbounded, rng, log);
+  p.next();
+  EXPECT_TRUE(p.quiet_tick.armed());
+  eng.schedule_at(1000, [] {});
+  ASSERT_TRUE(eng.step());  // ticks at 100..900, then the event
+  EXPECT_EQ(p.noops, 9u);
+  EXPECT_EQ(eng.events_processed(), 10u);
+  EXPECT_TRUE(eng.cancel(p.quiet_tick));
+  EXPECT_FALSE(eng.step());
+  eng.run_until(micros(5));
+  EXPECT_EQ(p.noops, 9u);
 }
 
 TEST(PeriodicTimer, FiresEveryPeriodUntilStopped) {
