@@ -41,29 +41,6 @@ core::Config drain_cfg() {
   return cfg;
 }
 
-struct DrainPair {
-  testbed::Cluster cluster;
-  core::Context server;
-  core::Context client;
-  core::Channel* client_ch = nullptr;
-  core::Channel* server_ch = nullptr;
-
-  explicit DrainPair(core::Config cfg)
-      : server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-    server.listen(7000, [this](core::Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000,
-                   [this](Result<core::Channel*> r) { client_ch = r.value(); });
-    cluster.engine().run_for(millis(20));
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
-
 // (a) ---------------------------------------------------------------------
 
 struct DrainSample {
@@ -75,7 +52,7 @@ struct DrainSample {
 
 DrainSample measure_drain(int burst, std::uint32_t msg_bytes,
                           std::uint64_t seed) {
-  DrainPair pair(drain_cfg());
+  XrPair pair(drain_cfg());
   DrainSample s;
   if (!pair.client_ch || !pair.server_ch) return s;
   pair.server_ch->set_on_msg(
@@ -119,7 +96,7 @@ LeaveSample measure_leave(bool announced, int channels) {
   // Breaker off isolates the drain effect: without an announcement every
   // channel runs its own (halved) ladder against the vanished peer.
   cfg.health_breaker = false;
-  DrainPair pair(cfg);
+  XrPair pair(cfg);
   LeaveSample s;
   if (!pair.client_ch || !pair.server_ch) return s;
 

@@ -37,38 +37,6 @@ core::Config health_cfg() {
   return cfg;
 }
 
-/// Like XrPair, but polling starts before the handshake: with the fast
-/// keepalive configs here, an unpolled CQ reads as peer silence.
-struct HealthPair {
-  testbed::Cluster cluster;
-  core::Context server;
-  core::Context client;
-  core::Channel* client_ch = nullptr;
-  core::Channel* server_ch = nullptr;
-
-  explicit HealthPair(core::Config cfg)
-      : server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-    server.listen(7000, [this](core::Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000,
-                   [this](Result<core::Channel*> r) { client_ch = r.value(); });
-    cluster.engine().run_for(millis(20));
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-
-  template <typename Pred>
-  bool run_until(Pred pred, Nanos limit, Nanos step = micros(200)) {
-    const Nanos end = cluster.engine().now() + limit;
-    while (!pred() && cluster.engine().now() < end) run(step);
-    return pred();
-  }
-};
-
 struct DetectSample {
   Nanos detect = -1;          // host kill -> first dead declaration
   std::uint64_t false_pos = 0;  // dead declarations during the quiet phase
@@ -80,7 +48,7 @@ DetectSample measure_detection(bool adaptive, std::uint64_t seed) {
   core::Config cfg = health_cfg();
   cfg.health_adaptive = adaptive;
   cfg.fallback_auto = false;
-  HealthPair pair(cfg);
+  XrPair pair(cfg);
   if (!pair.client_ch || !pair.server_ch) return {};
   pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
 
@@ -108,7 +76,7 @@ DetectSample measure_detection(bool adaptive, std::uint64_t seed) {
   const bool detected = pair.run_until(
       [&] { return pair.client.health().stats().dead_declarations >
                    s.false_pos; },
-      millis(100));
+      millis(100), micros(200));
   if (detected) s.detect = pair.cluster.engine().now() - down_at;
   return s;
 }
@@ -126,7 +94,7 @@ BreakerSample measure_breaker(bool breaker_on, int channels) {
   core::Config cfg = health_cfg();
   cfg.health_breaker = breaker_on;
   cfg.fallback_auto = false;
-  HealthPair pair(cfg);
+  XrPair pair(cfg);
   if (!pair.client_ch || !pair.server_ch) return {};
 
   std::vector<core::Channel*> chs = {pair.client_ch};
@@ -158,7 +126,7 @@ BreakerSample measure_breaker(bool breaker_on, int channels) {
 /// fault. Flap suppression must escalate the level by one per cycle.
 std::vector<std::uint32_t> measure_flap_holddown(int cycles) {
   core::Config cfg = health_cfg();
-  HealthPair pair(cfg);
+  XrPair pair(cfg);
   std::vector<std::uint32_t> levels;
   if (!pair.client_ch || !pair.server_ch) return levels;
   analysis::MockFallback server_mock(pair.server, pair.cluster.host(1).tcp(),
@@ -171,15 +139,14 @@ std::vector<std::uint32_t> measure_flap_holddown(int cycles) {
     const std::size_t rule =
         filter.add_rule({analysis::FaultKind::cm_timeout, 1.0, 0, -1, 0});
     filter.kill_qp(*pair.client_ch);
-    if (!pair.run_until([&] { return pair.client_ch->mocked(); }, millis(80),
-                        millis(1))) {
+    if (!pair.run_until([&] { return pair.client_ch->mocked(); }, millis(80))) {
       break;
     }
     const auto v = pair.client.health().view(1);
     levels.push_back(v ? v->holddown_level : 0);
     filter.remove_rule(rule);
-    if (!pair.run_until([&] { return !pair.client_ch->mocked(); }, millis(600),
-                        millis(1))) {
+    if (!pair.run_until([&] { return !pair.client_ch->mocked(); },
+                        millis(600))) {
       break;
     }
   }

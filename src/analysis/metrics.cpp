@@ -80,152 +80,36 @@ void ContextMetrics::refresh() {
   if (now == last_refresh_) return;
   last_refresh_ = now;
 
-  core::ChannelStats agg;
-  std::size_t established = 0;
-  std::size_t inflight = 0, queued = 0;
+  // Every declared counter under its declared name (core/stats.hpp).
+  const auto put = [this](const char* name, std::uint64_t v) {
+    reg_.counter(name) = v;
+  };
+  const core::ChannelStats agg = ctx_.channel_totals();
+  core::ChannelStats::for_each(agg, put);
+  core::ContextStats::for_each(ctx_.stats(), put);
+  core::HealthStats::for_each(ctx_.health().stats(), put);
+
+  std::size_t established = 0, inflight = 0, queued = 0;
   for (core::Channel* ch : ctx_.channels()) {
-    const auto& s = ch->stats();
-    agg.msgs_tx += s.msgs_tx;
-    agg.msgs_rx += s.msgs_rx;
-    agg.bytes_tx += s.bytes_tx;
-    agg.bytes_rx += s.bytes_rx;
-    agg.large_msgs_tx += s.large_msgs_tx;
-    agg.large_msgs_rx += s.large_msgs_rx;
-    agg.acks_tx += s.acks_tx;
-    agg.acks_rx += s.acks_rx;
-    agg.nops_tx += s.nops_tx;
-    agg.nops_rx += s.nops_rx;
-    agg.keepalive_probes += s.keepalive_probes;
-    agg.window_stalls += s.window_stalls;
-    agg.flowctl_queued += s.flowctl_queued;
-    agg.reads_issued += s.reads_issued;
-    agg.rpc_calls += s.rpc_calls;
-    agg.rpc_timeouts += s.rpc_timeouts;
-    agg.bad_messages += s.bad_messages;
-    agg.filtered_drops += s.filtered_drops;
-    agg.egress_drops += s.egress_drops;
-    agg.mock_tx += s.mock_tx;
-    agg.dup_msgs_rx += s.dup_msgs_rx;
-    agg.recoveries_started += s.recoveries_started;
-    agg.recovery_attempts += s.recovery_attempts;
-    agg.recoveries_completed += s.recoveries_completed;
-    agg.recovery_retransmits += s.recovery_retransmits;
-    agg.fallback_switches += s.fallback_switches;
-    agg.fallback_restores += s.fallback_restores;
-    agg.rpc_aborts += s.rpc_aborts;
-    agg.tx_would_block += s.tx_would_block;
-    agg.writable_signals += s.writable_signals;
-    agg.naks_tx += s.naks_tx;
-    agg.naks_rx += s.naks_rx;
-    agg.pulls_deferred += s.pulls_deferred;
-    agg.tx_mem_deferrals += s.tx_mem_deferrals;
-    agg.ctrl_alloc_failures += s.ctrl_alloc_failures;
-    agg.tx_shed += s.tx_shed;
-    agg.breaker_fastfails += s.breaker_fastfails;
-    agg.hdr_version_reject += s.hdr_version_reject;
-    agg.hdr_tlv_skipped += s.hdr_tlv_skipped;
-    agg.drains_tx += s.drains_tx;
-    agg.drains_rx += s.drains_rx;
-    agg.drain_recovery_parks += s.drain_recovery_parks;
-    agg.doorbells += s.doorbells;
-    agg.doorbell_wrs += s.doorbell_wrs;
-    agg.inline_sends += s.inline_sends;
-    agg.eager_copies_avoided += s.eager_copies_avoided;
-    agg.crc_stamped_tx += s.crc_stamped_tx;
-    agg.crc_failures_rx += s.crc_failures_rx;
-    agg.integrity_naks_tx += s.integrity_naks_tx;
-    agg.integrity_naks_rx += s.integrity_naks_rx;
-    agg.integrity_retransmits += s.integrity_retransmits;
-    agg.integrity_exhausted += s.integrity_exhausted;
     if (ch->usable()) ++established;
     inflight += ch->inflight_msgs();
     queued += ch->queued_msgs();
   }
-  reg_.counter("chan.msgs_tx") = agg.msgs_tx;
-  reg_.counter("chan.msgs_rx") = agg.msgs_rx;
-  reg_.counter("chan.bytes_tx") = agg.bytes_tx;
-  reg_.counter("chan.bytes_rx") = agg.bytes_rx;
-  reg_.counter("chan.large_msgs_tx") = agg.large_msgs_tx;
-  reg_.counter("chan.large_msgs_rx") = agg.large_msgs_rx;
-  reg_.counter("chan.acks_tx") = agg.acks_tx;
-  reg_.counter("chan.nops_tx") = agg.nops_tx;
-  reg_.counter("chan.keepalive_probes") = agg.keepalive_probes;
-  reg_.counter("chan.window_stalls") = agg.window_stalls;
-  reg_.counter("chan.flowctl_queued") = agg.flowctl_queued;
-  reg_.counter("chan.reads_issued") = agg.reads_issued;
-  reg_.counter("chan.rpc_calls") = agg.rpc_calls;
-  reg_.counter("chan.rpc_timeouts") = agg.rpc_timeouts;
-  reg_.counter("chan.bad_messages") = agg.bad_messages;
-  reg_.counter("chan.filtered_drops") = agg.filtered_drops;
-  reg_.counter("chan.egress_drops") = agg.egress_drops;
-  reg_.counter("chan.mock_tx") = agg.mock_tx;
-  reg_.counter("chan.dup_msgs_rx") = agg.dup_msgs_rx;
-  reg_.counter("chan.rpc_aborts") = agg.rpc_aborts;
-  // Recovery plane (retry ladder + TCP fallback).
-  reg_.counter("recovery.started") = agg.recoveries_started;
-  reg_.counter("recovery.attempts") = agg.recovery_attempts;
-  reg_.counter("recovery.completed") = agg.recoveries_completed;
-  reg_.counter("recovery.retransmits") = agg.recovery_retransmits;
-  reg_.counter("recovery.fallback_switches") = agg.fallback_switches;
-  reg_.counter("recovery.fallback_restores") = agg.fallback_restores;
-  // Overload plane (backpressure + shedding).
-  reg_.counter("overload.tx_would_block") = agg.tx_would_block;
-  reg_.counter("overload.writable_signals") = agg.writable_signals;
-  reg_.counter("overload.naks_tx") = agg.naks_tx;
-  reg_.counter("overload.naks_rx") = agg.naks_rx;
-  reg_.counter("overload.pulls_deferred") = agg.pulls_deferred;
-  reg_.counter("overload.tx_mem_deferrals") = agg.tx_mem_deferrals;
-  reg_.counter("overload.ctrl_alloc_failures") = agg.ctrl_alloc_failures;
-  reg_.counter("overload.tx_shed") = agg.tx_shed;
-  reg_.counter("health.breaker_fastfails") = agg.breaker_fastfails;
-  // Lifecycle plane (graceful drain + protocol negotiation).
-  reg_.counter("chan.hdr_version_reject") = agg.hdr_version_reject;
-  reg_.counter("chan.hdr_tlv_skipped") = agg.hdr_tlv_skipped;
-  reg_.counter("chan.drains_tx") = agg.drains_tx;
-  reg_.counter("chan.drains_rx") = agg.drains_rx;
-  reg_.counter("recovery.drain_parks") = agg.drain_recovery_parks;
-  // Batched hot path (doorbell coalescing + inline sends).
-  reg_.counter("chan.doorbells") = agg.doorbells;
-  reg_.counter("chan.inline_sends") = agg.inline_sends;
-  reg_.counter("mem.eager_copies_avoided") = agg.eager_copies_avoided;
   reg_.gauge("chan.wrs_per_doorbell") =
       agg.doorbells > 0
           ? static_cast<double>(agg.doorbell_wrs) /
                 static_cast<double>(agg.doorbells)
           : 0.0;
-  // End-to-end integrity plane (CRC32C TLV + integrity-NAK replay).
-  reg_.counter("integrity.crc_stamped_tx") = agg.crc_stamped_tx;
-  reg_.counter("integrity.crc_failures_rx") = agg.crc_failures_rx;
-  reg_.counter("integrity.naks_tx") = agg.integrity_naks_tx;
-  reg_.counter("integrity.naks_rx") = agg.integrity_naks_rx;
-  reg_.counter("integrity.retransmits") = agg.integrity_retransmits;
-  reg_.counter("integrity.exhausted") = agg.integrity_exhausted;
   reg_.gauge("chan.established") = static_cast<double>(established);
   reg_.gauge("chan.inflight") = static_cast<double>(inflight);
   reg_.gauge("chan.queued") = static_cast<double>(queued);
 
   const auto& cs = ctx_.stats();
-  reg_.counter("ctx.polls") = cs.polls;
-  reg_.counter("ctx.empty_polls") = cs.empty_polls;
-  reg_.counter("ctx.slow_polls") = cs.slow_polls;
-  reg_.counter("ctx.watchdog_trips") = cs.watchdog_trips;
-  reg_.counter("ctx.events_processed") = cs.events_processed;
-  reg_.counter("ctx.parks") = cs.parks;
-  reg_.counter("ctx.wakeups") = cs.wakeups;
-  reg_.counter("ctx.channels_opened") = cs.channels_opened;
-  reg_.counter("ctx.channels_closed") = cs.channels_closed;
-  reg_.counter("ctx.channel_errors") = cs.channel_errors;
-  reg_.counter("ctx.channels_recovered") = cs.channels_recovered;
-  reg_.counter("overload.pressure_soft_events") = cs.pressure_soft_events;
-  reg_.counter("overload.pressure_hard_events") = cs.pressure_hard_events;
   reg_.gauge("overload.queued_tx_bytes") =
       static_cast<double>(ctx_.queued_tx_bytes());
   reg_.gauge("overload.mem_pressure") =
       static_cast<double>(static_cast<int>(ctx_.mem_pressure()));
   reg_.gauge("ctx.worst_poll_gap_us") = to_micros(cs.worst_poll_gap);
-  reg_.counter("ctx.drains_started") = cs.drains_started;
-  reg_.counter("ctx.drains_completed") = cs.drains_completed;
-  reg_.counter("ctx.lifecycle_rejects") = cs.lifecycle_rejects;
   reg_.gauge("ctx.lifecycle") =
       static_cast<double>(static_cast<int>(ctx_.lifecycle()));
   reg_.histogram("ctx.drain_latency") = cs.drain_latency;
@@ -239,22 +123,8 @@ void ContextMetrics::refresh() {
   reg_.gauge("mem.in_use_mb") =
       static_cast<double>(ctrl.in_use_bytes + data.in_use_bytes) / 1e6;
 
-  // Health plane: aggregate counters plus one gauge set per known peer
-  // ("health.peer.<node>.*" — what xr_ping's health view reads).
-  const auto& hs = ctx_.health().stats();
-  reg_.counter("health.dead_declarations") = hs.dead_declarations;
-  reg_.counter("health.breaker_opens") = hs.breaker_opens;
-  reg_.counter("health.breaker_closes") = hs.breaker_closes;
-  reg_.counter("health.connects_allowed") = hs.connects_allowed;
-  reg_.counter("health.connects_denied") = hs.connects_denied;
-  reg_.counter("health.flaps") = hs.flaps;
-  reg_.counter("health.holddown_escalations") = hs.holddown_escalations;
-  reg_.counter("health.suspect_transitions") = hs.suspect_transitions;
-  reg_.counter("health.degraded_transitions") = hs.degraded_transitions;
-  reg_.counter("health.draining_marks") = hs.draining_marks;
-  reg_.counter("health.drain_suppressions") = hs.drain_suppressions;
-  reg_.counter("health.drain_violations") = hs.drain_violations;
-  reg_.counter("health.crc_storms") = hs.crc_storms;
+  // Health plane: one gauge set per known peer ("health.peer.<node>.*" —
+  // what xr_ping's health view reads).
   double peers_dead = 0, breakers_open = 0, peers_draining = 0;
   const auto views = ctx_.health().peers();
   for (const core::PeerHealthView& pv : views) {

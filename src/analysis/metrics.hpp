@@ -9,10 +9,14 @@
 // snapshot-and-delta semantics the Monitor's periodic sampling and the
 // benches' phase boundaries need.
 //
-// ContextMetrics bridges a core::Context into a registry: it aggregates
-// ChannelStats across all channels plus the ContextStats counters under
-// stable names, refreshing at most once per simulated timestamp so many
-// samplers can share one bridge.
+// ContextMetrics bridges a core::Context into a registry, refreshing at
+// most once per simulated timestamp so many samplers can share one bridge.
+// Counter names are not written here: each ChannelStats, ContextStats and
+// HealthStats counter is declared once, with its registry name, in the
+// X-macro lists of core/stats.hpp, and refresh() exports every one of them
+// (ChannelStats summed over the open channels). Only the derived gauges
+// (chan.wrs_per_doorbell, established/inflight/queued, memory, per-peer
+// health) and the histograms are named in refresh() itself.
 //
 // Naming convention (locked by analysis_exposition_test): every metric is
 // `<plane>.<name>` with an optional `<plane>.peer.<node>.<name>` per-peer

@@ -777,17 +777,16 @@ void Runner::finish_report() {
     rep_.drains_started += c->stats().drains_started;
     rep_.drains_completed += c->stats().drains_completed;
     rep_.lifecycle_rejects += c->stats().lifecycle_rejects;
-    for (core::Channel* ch : c->channels()) {
-      rep_.drain_recovery_parks += ch->stats().drain_recovery_parks;
-      rep_.inline_sends += ch->stats().inline_sends;
-      rep_.doorbells += ch->stats().doorbells;
-      rep_.doorbell_wrs += ch->stats().doorbell_wrs;
-      rep_.crc_stamped += ch->stats().crc_stamped_tx;
-      rep_.crc_failures += ch->stats().crc_failures_rx;
-      rep_.integrity_naks += ch->stats().integrity_naks_tx;
-      rep_.integrity_retransmits += ch->stats().integrity_retransmits;
-      rep_.integrity_exhausted += ch->stats().integrity_exhausted;
-    }
+    const core::ChannelStats t = c->channel_totals();
+    rep_.drain_recovery_parks += t.drain_recovery_parks;
+    rep_.inline_sends += t.inline_sends;
+    rep_.doorbells += t.doorbells;
+    rep_.doorbell_wrs += t.doorbell_wrs;
+    rep_.crc_stamped += t.crc_stamped_tx;
+    rep_.crc_failures += t.crc_failures_rx;
+    rep_.integrity_naks += t.integrity_naks_tx;
+    rep_.integrity_retransmits += t.integrity_retransmits;
+    rep_.integrity_exhausted += t.integrity_exhausted;
   }
 
   std::uint64_t d = 0xcbf29ce484222325ULL;

@@ -183,7 +183,8 @@ struct Config {
 };
 
 /// Dynamic-tuning surface: string-keyed access to the *online* parameters.
-/// Returns invalid_argument for unknown or offline keys.
+/// set_flag returns invalid_argument for offline keys and not_found for
+/// unknown ones; get_flag and snapshot read both kinds.
 class ConfigRegistry {
  public:
   explicit ConfigRegistry(Config& config);

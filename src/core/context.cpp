@@ -181,7 +181,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
 }
 
 Context::~Context() {
-  engine().cancel(quiet_tick_);
+  engine().cancel(loop_tick_);
   scan_timer_.stop();
   for (const MemBlock& block : srq_bounce_) ctrl_cache_.free(block);
 }
@@ -470,6 +470,12 @@ std::vector<Channel*> Context::channels() {
   return out;
 }
 
+ChannelStats Context::channel_totals() const {
+  ChannelStats sum;
+  for (const auto& ch : channels_) sum += ch->stats();
+  return sum;
+}
+
 // ---------------------------------------------------------------------------
 // Work-request registry and flow control.
 
@@ -655,7 +661,10 @@ void Context::start_polling_loop() {
   if (loop_running_) return;
   loop_running_ = true;
   idle_spins_ = 0;
-  engine().schedule_after(0, [this] { poll_loop_step(); });
+  // A tick or park waiter still pending from before a stop carries on the
+  // restarted loop: one chain, never two.
+  if (loop_tick_.armed() || parked_) return;
+  loop_tick_ = engine().schedule_after(0, [this] { poll_loop_step(); });
 }
 
 void Context::stop_polling_loop() { loop_running_ = false; }
@@ -676,17 +685,16 @@ void Context::poll_loop_step() {
     return;
   }
   auto tick = [this] { poll_loop_step(); };
-  // One train at a time: a second loop chain (stop and restart before the
-  // old tick fired) fires every tick. Arming needs empty CQs (an armed CQ
-  // holding a CQE notifies at once); the next CQE wakes the train, and
-  // readies the eventfd as the park() arm this one replaces would have.
-  if (quiet_tick_.armed() || quiet_budget(cfg_.busy_poll_interval) == 0 ||
+  // Arming needs empty CQs (an armed CQ holding a CQE notifies at once);
+  // the next CQE wakes the train, and readies the eventfd as the park()
+  // arm this one replaces would have.
+  if (quiet_budget(cfg_.busy_poll_interval) == 0 ||
       nic_.cq_depth_used(send_cq_.id()) + nic_.cq_depth_used(recv_cq_.id())) {
-    engine().schedule_after(cfg_.busy_poll_interval, tick);
+    loop_tick_ = engine().schedule_after(cfg_.busy_poll_interval, tick);
     return;
   }
-  quiet_tick_ = engine().schedule_quiet(cfg_.busy_poll_interval, *this, tick);
-  auto wake = [this] { engine().wake(quiet_tick_); event_fd_.set_ready(); };
+  loop_tick_ = engine().schedule_quiet(cfg_.busy_poll_interval, *this, tick);
+  auto wake = [this] { engine().wake(loop_tick_); event_fd_.set_ready(); };
   send_cq_.arm(wake);
   recv_cq_.arm(wake);
 }
@@ -720,11 +728,13 @@ void Context::account_quiet(std::uint64_t n, Nanos last, Nanos period) {
 
 void Context::park() {
   ++stats_.parks;
+  parked_ = true;
   event_fd_.clear();
   auto wake = [this] { event_fd_.set_ready(); };
   send_cq_.arm(wake);
   recv_cq_.arm(wake);
   event_fd_.wait([this] {
+    parked_ = false;
     if (!loop_running_) return;
     ++stats_.wakeups;
     poll_loop_step();

@@ -174,6 +174,9 @@ class Context : private sim::Engine::QuietOwner {
   /// before admitting new work or issuing rendezvous pulls.
   MemPressure mem_pressure() const;
   std::vector<Channel*> channels();
+  /// Every open channel's counters summed (what XR-Stat and the registry
+  /// report as the context's channel totals).
+  ChannelStats channel_totals() const;
   std::size_t num_channels() const { return by_qp_.size(); }
 
   /// Host clock model: local_time() = sim time + this host's clock skew.
@@ -309,8 +312,8 @@ class Context : private sim::Engine::QuietOwner {
   HealthMonitor health_;
 
   verbs::Pd pd_;
-  // The poll loop's tick while it is quiet; outlives the CQ arms.
-  sim::Engine::EventId quiet_tick_;
+  // The poll loop's pending tick, quiet or not; outlives the CQ arms.
+  sim::Engine::EventId loop_tick_;
   verbs::Cq send_cq_;
   verbs::Cq recv_cq_;
   rnic::SrqId srq_ = rnic::kInvalidId;
@@ -345,6 +348,7 @@ class Context : private sim::Engine::QuietOwner {
 
   Nanos last_poll_ = -1;
   bool loop_running_ = false;
+  bool parked_ = false;  // park()'s eventfd waiter is pending
   std::uint32_t idle_spins_ = 0;
 
   Nanos clock_skew_ = 0;

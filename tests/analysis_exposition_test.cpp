@@ -154,5 +154,62 @@ TEST(MetricNaming, EveryContextMetricFollowsThePlaneDotNameConvention) {
   }
 }
 
+TEST(StatsDeclaration, EveryDeclaredCounterIsExportedUnderItsOwnName) {
+  LiveContext t;
+  t.traffic();
+  analysis::ContextMetrics metrics(t.client);
+  const MetricsRegistry& reg = metrics.registry();
+
+  // Walk the core/stats.hpp declarations: each counter's name is a
+  // registry counter holding the (channel-summed) field, and no two
+  // counters, in any of the three structs, share a name.
+  std::set<std::string> seen;
+  std::size_t nonzero = 0;
+  const auto check = [&](const char* name, std::uint64_t v) {
+    EXPECT_TRUE(seen.insert(name).second) << "declared twice: " << name;
+    ASSERT_TRUE(reg.counters().count(name)) << "not exported: " << name;
+    EXPECT_EQ(reg.counters().at(name), v) << name;
+    if (v > 0) ++nonzero;
+  };
+  const core::ChannelStats totals = t.client.channel_totals();
+  core::ChannelStats::for_each(totals, check);
+  core::ContextStats::for_each(t.client.stats(), check);
+  core::HealthStats::for_each(t.client.health().stats(), check);
+  EXPECT_EQ(seen.size(), 52u + 16u + 14u);
+  EXPECT_GE(nonzero, 5u);  // the traffic moved real counters
+  // Counters no tool reads by field are exported all the same.
+  for (const char* name : {"chan.acks_rx", "chan.nops_rx", "chan.doorbell_wrs",
+                           "health.breaker_violations"}) {
+    EXPECT_TRUE(seen.count(name)) << name;
+  }
+}
+
+TEST(StatsDeclaration, ChannelTotalsSumEveryChannel) {
+  LiveContext t;
+  t.traffic();
+  core::Channel* second = nullptr;
+  t.client.connect(1, 7000,
+                   [&](Result<core::Channel*> r) { second = r.value(); });
+  t.cluster.engine().run_for(millis(20));
+  ASSERT_NE(second, nullptr);
+  ASSERT_EQ(second->send_msg(Buffer::make(100)), Errc::ok);
+  t.cluster.engine().run_for(millis(20));
+  ASSERT_EQ(t.client.num_channels(), 2u);
+
+  const core::ChannelStats sum = t.client.channel_totals();
+  core::ChannelStats::for_each(sum, [&](const char* name, std::uint64_t v) {
+    std::uint64_t expect = 0;
+    for (core::Channel* ch : t.client.channels()) {
+      core::ChannelStats::for_each(
+          ch->stats(), [&](const char* n, std::uint64_t x) {
+            if (std::string(n) == name) expect += x;
+          });
+    }
+    EXPECT_EQ(v, expect) << name;
+  });
+  EXPECT_EQ(sum.msgs_tx, 9u);
+  EXPECT_EQ(sum.bytes_tx, 8u * 512 + 100);
+}
+
 }  // namespace
 }  // namespace xrdma

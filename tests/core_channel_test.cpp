@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -411,6 +413,133 @@ TEST(Channel, SetFlagTunesOnlineParametersOnly) {
   auto v = t.client.get_flag("small_msg_size");
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), 4096);
+}
+
+// Locks the whole Table III surface: every key, its default, its unit and
+// the Config member behind it, as written out by hand here.
+TEST(ConfigSurface, EveryKeyDefaultUnitAndOnlineSplit) {
+  struct Online {
+    const char* key;
+    std::int64_t def;
+    std::int64_t v;  // a non-default value
+    std::function<bool(const Config&)> moved;  // the member holds v
+  };
+  const std::vector<Online> online = {
+      {"keepalive_intv_ms", 10, 7,
+       [](const Config& c) { return c.keepalive_intv == millis(7); }},
+      {"keepalive_timeout_ms", 40, 33,
+       [](const Config& c) { return c.keepalive_timeout == millis(33); }},
+      {"slow_threshold_us", 100, 77,
+       [](const Config& c) { return c.slow_threshold == micros(77); }},
+      {"polling_warn_cycle_us", 1000, 250,
+       [](const Config& c) { return c.polling_warn_cycle == micros(250); }},
+      {"trace_sample_mask", 0, 15,
+       [](const Config& c) { return c.trace_sample_mask == 15u; }},
+      {"reqrsp_mode", 0, 1, [](const Config& c) { return c.reqrsp_mode; }},
+      {"flowctl", 1, 0, [](const Config& c) { return !c.flowctl; }},
+      {"frag_size", 65536, 8192,
+       [](const Config& c) { return c.frag_size == 8192u; }},
+      {"max_outstanding_wrs", 16, 5,
+       [](const Config& c) { return c.max_outstanding_wrs == 5u; }},
+      {"recovery_max_attempts", 4, 9,
+       [](const Config& c) { return c.recovery_max_attempts == 9u; }},
+      {"recovery_backoff_us", 500, 123,
+       [](const Config& c) { return c.recovery_backoff == micros(123); }},
+      {"fallback_auto", 1, 0, [](const Config& c) { return !c.fallback_auto; }},
+      {"tx_queue_max_msgs", 0, 12,
+       [](const Config& c) { return c.tx_queue_max_msgs == 12u; }},
+      {"tx_queue_max_bytes", 0, 5000000000,
+       [](const Config& c) { return c.tx_queue_max_bytes == 5000000000u; }},
+      {"ctx_tx_max_bytes", 0, 6000000000,
+       [](const Config& c) { return c.ctx_tx_max_bytes == 6000000000u; }},
+      {"tx_writable_pct", 50, 25,
+       [](const Config& c) { return c.tx_writable_pct == 25u; }},
+      {"mem_soft_pct", 0, 60,
+       [](const Config& c) { return c.mem_soft_pct == 60u; }},
+      {"mem_hard_pct", 0, 90,
+       [](const Config& c) { return c.mem_hard_pct == 90u; }},
+      {"mem_retry_interval_us", 100, 40,
+       [](const Config& c) { return c.mem_retry_interval == micros(40); }},
+      {"memcache_idle_shrink_ms", 20, 3,
+       [](const Config& c) { return c.memcache_idle_shrink == millis(3); }},
+      {"health_adaptive", 0, 1,
+       [](const Config& c) { return c.health_adaptive; }},
+      {"health_phi_suspect", 2, 3,
+       [](const Config& c) { return c.health_phi_suspect == 3u; }},
+      {"health_phi_dead", 8, 11,
+       [](const Config& c) { return c.health_phi_dead == 11u; }},
+      {"health_min_samples", 8, 4,
+       [](const Config& c) { return c.health_min_samples == 4u; }},
+      {"health_breaker", 1, 0,
+       [](const Config& c) { return !c.health_breaker; }},
+      {"health_halfopen_probes", 1, 2,
+       [](const Config& c) { return c.health_halfopen_probes == 2u; }},
+      {"health_flap_window_ms", 1000, 750,
+       [](const Config& c) { return c.health_flap_window == millis(750); }},
+      {"health_holddown_base_ms", 50, 60,
+       [](const Config& c) { return c.health_holddown_base == millis(60); }},
+      {"health_holddown_max_ms", 2000, 3000,
+       [](const Config& c) { return c.health_holddown_max == millis(3000); }},
+      {"health_degraded_rtt_x", 4, 6,
+       [](const Config& c) { return c.health_degraded_rtt_x == 6u; }},
+      {"health_retx_degraded", 32, 64,
+       [](const Config& c) { return c.health_retx_degraded == 64u; }},
+      {"health_crc_degraded", 8, 0,
+       [](const Config& c) { return c.health_crc_degraded == 0u; }},
+      {"e2e_crc", 1, 0, [](const Config& c) { return !c.e2e_crc; }},
+      {"integrity_retry_max", 3, 1,
+       [](const Config& c) { return c.integrity_retry_max == 1u; }},
+      {"lifecycle_drain", 0, 1,
+       [](const Config& c) { return c.lifecycle_drain; }},
+      {"lifecycle_drain_timeout_ms", 500, 80,
+       [](const Config& c) { return c.lifecycle_drain_timeout == millis(80); }},
+      {"lifecycle_retry_after_ms", 200, 90,
+       [](const Config& c) { return c.lifecycle_retry_after == millis(90); }},
+      {"recorder_enabled", 1, 0,
+       [](const Config& c) { return !c.recorder_enabled; }},
+      {"recorder_sample_mask", 63, 7,
+       [](const Config& c) { return c.recorder_sample_mask == 7u; }},
+      {"inline_max", 256, 128,
+       [](const Config& c) { return c.inline_max == 128u; }},
+  };
+  const std::map<std::string, std::int64_t> offline = {
+      {"use_srq", 0},           {"cq_size", 8192},
+      {"srq_size", 4096},       {"fork_safe", 0},
+      {"ibqp_alloc_type", 1},   {"small_msg_size", 4096},
+      {"window_depth", 64},     {"memcache_max_mrs", 4096},
+      {"memcache_ctrl_reserve", 65536}, {"recorder_capacity", 4096},
+      {"proto_version_min", 1}, {"proto_version_max", 2},
+      {"proto_features", 7},
+  };
+  ASSERT_EQ(online.size(), 40u);
+
+  Config cfg;
+  ConfigRegistry reg(cfg);
+  std::map<std::string, std::int64_t> defaults = offline;
+  for (const Online& o : online) defaults[o.key] = o.def;
+  EXPECT_EQ(reg.snapshot(), defaults);
+
+  for (const Online& o : online) {
+    SCOPED_TRACE(o.key);
+    Config c;
+    ConfigRegistry r(c);
+    EXPECT_FALSE(o.moved(c));
+    ASSERT_EQ(r.set_flag(o.key, o.v), Errc::ok);
+    auto got = r.get_flag(o.key);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), o.v);
+    EXPECT_TRUE(o.moved(c));
+  }
+  for (const auto& [key, def] : offline) {
+    SCOPED_TRACE(key);
+    EXPECT_EQ(reg.set_flag(key, def + 1), Errc::invalid_argument);
+    auto got = reg.get_flag(key);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), def);
+  }
+  EXPECT_EQ(reg.set_flag("no_such_flag", 1), Errc::not_found);
+  EXPECT_EQ(reg.get_flag("no_such_flag").error(), Errc::not_found);
+  EXPECT_EQ(reg.snapshot(), defaults);
 }
 
 TEST(Channel, TracedMessageCarriesTimestamps) {

@@ -364,38 +364,55 @@ TEST(QuietPolling, StopWhileQuietThenRestart) {
   ctx.start_polling_loop();
   eng.run_until(millis(3));
   EXPECT_EQ(ctx.stats().polls, 20002u);
-  // Stop and restart before the pending tick fires: the old chain lives
-  // on next to the new one, exactly as in the per-tick loop.
+  // Stop and restart before the pending tick fires: the restart reuses
+  // that tick, so one chain polls 10 000 times, 3 ms + 100 ns to 4 ms.
   ctx.stop_polling_loop();
   ctx.start_polling_loop();
   eng.run_until(millis(4));
-  EXPECT_EQ(ctx.stats().polls, 40003u);
+  EXPECT_EQ(ctx.stats().polls, 30002u);
 }
 
 TEST(QuietPolling, RestartWhileParkedKeepsTheParkedWaiter) {
-  // The server parks, then restarts its loop: the new chain goes quiet and
-  // re-arms both CQs, but the next CQE must still ready the eventfd the
-  // parked waiter sleeps on, so that waiter wakes as in the per-tick loop.
-  // The numbers are what the per-tick loop produced.
-  Config cfg;
-  cfg.poll_mode = core::PollMode::hybrid;
-  Pair t(cfg);
-  t.server.start_polling_loop();
-  t.client.start_polling_loop();
-  int got = 0;
-  t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++got; });
-  t.cluster.engine().run_for(micros(200));
-  ASSERT_EQ(t.server.stats().parks, 1u);
-  t.server.stop_polling_loop();
-  t.server.start_polling_loop();
-  t.cluster.engine().run_for(micros(10));
-  t.client_ch->send_msg(Buffer::make(64));
-  t.cluster.engine().run_for(micros(500));
-  EXPECT_EQ(got, 1);
-  EXPECT_EQ(t.server.stats().wakeups, 1u);
-  EXPECT_EQ(t.server.stats().parks, 3u);
-  EXPECT_EQ(t.server.stats().polls, 3127u);
-  EXPECT_EQ(t.cluster.engine().events_processed(), 5217u);
+  // The server parks, then restarts its loop: the restart keeps the parked
+  // waiter instead of starting a second chain, so the next CQE wakes it and
+  // every count matches a server that never stopped (1000 spins to the
+  // first park; the wake poll, the poll after it and 1000 spins to the
+  // second).
+  struct Outcome {
+    int got = 0;
+    std::uint64_t wakeups = 0, parks = 0, polls = 0, events = 0;
+    bool operator==(const Outcome&) const = default;
+  };
+  const auto run = [](bool restart) {
+    Config cfg;
+    cfg.poll_mode = core::PollMode::hybrid;
+    Pair t(cfg);
+    t.server.start_polling_loop();
+    t.client.start_polling_loop();
+    Outcome out;
+    t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++out.got; });
+    t.cluster.engine().run_for(micros(200));
+    EXPECT_EQ(t.server.stats().parks, 1u);
+    if (restart) {
+      t.server.stop_polling_loop();
+      t.server.start_polling_loop();
+    }
+    t.cluster.engine().run_for(micros(10));
+    t.client_ch->send_msg(Buffer::make(64));
+    t.cluster.engine().run_for(micros(500));
+    out.wakeups = t.server.stats().wakeups;
+    out.parks = t.server.stats().parks;
+    out.polls = t.server.stats().polls;
+    out.events = t.cluster.engine().events_processed();
+    return out;
+  };
+  const Outcome restarted = run(true);
+  EXPECT_EQ(restarted.got, 1);
+  EXPECT_EQ(restarted.wakeups, 1u);
+  EXPECT_EQ(restarted.parks, 2u);
+  EXPECT_EQ(restarted.polls, 2002u);
+  EXPECT_EQ(restarted.events, 4092u);
+  EXPECT_TRUE(restarted == run(false));
 }
 
 TEST(QuietPolling, CqeOnATickBoundaryIsSeenOnTheSameTick) {
