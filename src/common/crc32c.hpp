@@ -7,7 +7,8 @@
 // else it falls back to the portable table-driven, byte-at-a-time loop,
 // which stays callable on its own as crc32c_extend_portable() so tests can
 // cross-check the two. The simulated send path charges CRC cost through
-// its own model (Config::send_path_overhead plus a per-covered-byte term),
+// its own model (the fixed send-path cost in channel.cpp plus a
+// per-covered-byte term),
 // so which implementation runs changes host time only, never sim time.
 #pragma once
 

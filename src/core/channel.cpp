@@ -9,6 +9,22 @@
 #include "core/context.hpp"
 namespace xrdma::core {
 
+namespace {
+// Retry cadence for memory-deferred work; also the retry-after hint a
+// receiver NAK carries back to the sender.
+constexpr Nanos kMemRetryInterval = micros(100);
+
+// Software send-path cost per message (framing, window bookkeeping, WR
+// posting), plus the tracing tax in req-rsp mode. Calibrated; see
+// EXPERIMENTS.md. The receive path runs inline in polling() and its cost is
+// carried by the RNIC rx model.
+Nanos send_path_cost(const Config& cfg) {
+  constexpr Nanos kSendPathOverhead = nanos(250);
+  constexpr Nanos kTraceOverhead = nanos(50);
+  return kSendPathOverhead + (cfg.reqrsp_mode ? kTraceOverhead : 0);
+}
+}  // namespace
+
 Channel::Channel(Context& ctx, verbs::Qp qp, net::NodeId peer,
                  std::uint64_t id, std::uint32_t send_depth)
     : ctx_(ctx),
@@ -183,8 +199,9 @@ bool Channel::tx_cap_reached(std::uint32_t len) const {
 bool Channel::tx_writable() const {
   const Config& cfg = ctx_.config();
   if (ctx_.mem_pressure() == MemPressure::hard) return false;
+  // The low watermark: half of each cap.
   const auto below = [&](std::uint64_t cur, std::uint64_t cap) {
-    return cap == 0 || cur <= cap * cfg.tx_writable_pct / 100;
+    return cap == 0 || cur <= cap / 2;
   };
   return below(pending_tx_.size(), cfg.tx_queue_max_msgs) &&
          below(pending_tx_bytes_, cfg.tx_queue_max_bytes) &&
@@ -310,9 +327,8 @@ bool Channel::emit_data(PendingSend& p) {
     ev.t_post = sent.t_send;
     // The WR reaches the NIC after the software send path; post_data
     // schedules it with exactly this cost (the mock path posts inline).
-    Nanos sw_cost = cfg.send_path_overhead;
-    if (cfg.reqrsp_mode) sw_cost += cfg.trace_overhead;
-    ev.t_wire = sent.t_send + (*shape == Shape::mock ? 0 : sw_cost);
+    ev.t_wire =
+        sent.t_send + (*shape == Shape::mock ? 0 : send_path_cost(cfg));
     ev.bytes = len;
     ev.is_rpc_req = (p.flags & kFlagRpcReq) != 0;
     ev.is_rpc_rsp = (p.flags & kFlagRpcRsp) != 0;
@@ -472,8 +488,7 @@ void Channel::post_data(const WireHeader& hdr, verbs::SendWr wr) {
   // Software send-path cost (plus the tracing tax in req-rsp mode, plus the
   // CRC pass over the covered bytes — header and, when real, payload —
   // modeling a hardware-assisted CRC32C at ~16 bytes/ns).
-  Nanos cost = cfg.send_path_overhead;
-  if (cfg.reqrsp_mode) cost += cfg.trace_overhead;
+  Nanos cost = send_path_cost(cfg);
   if (hdr.crc_present) {
     cost += static_cast<Nanos>(
         (hdr.wire_size() + (hdr.payload_crc != 0 ? hdr.payload_len : 0)) / 16);
@@ -979,7 +994,7 @@ void Channel::defer_rendezvous_pull(Seq seq, RxState& rx) {
     // Windowless NAK carrying the parked seq and a retry-after hint (ns),
     // so the sender reads the stall as flow control, not a dead peer.
     post_control(kFlagNak, seq,
-                 static_cast<std::uint64_t>(ctx_.config().mem_retry_interval));
+                 static_cast<std::uint64_t>(kMemRetryInterval));
   }
   arm_mem_retry();
 }
@@ -995,7 +1010,7 @@ void Channel::retry_deferred_pulls() {
 
 void Channel::arm_mem_retry() {
   if (!mem_retry_timer_->armed()) {
-    mem_retry_timer_->arm_after(ctx_.config().mem_retry_interval);
+    mem_retry_timer_->arm_after(kMemRetryInterval);
   }
 }
 

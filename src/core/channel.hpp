@@ -86,8 +86,8 @@ class Channel {
   void set_on_msg(MsgHandler h) { on_msg_ = std::move(h); }
   void set_on_error(ErrorHandler h) { on_error_ = std::move(h); }
   /// Backpressure relief: after a send/call returned Errc::would_block,
-  /// fires once (edge-triggered) when the tx queue drains below the
-  /// Config::tx_writable_pct watermark and memory pressure has cleared.
+  /// fires once (edge-triggered) when the tx queue drains to half of each
+  /// cap and memory pressure has cleared.
   void set_on_writable(WritableHandler h) { on_writable_ = std::move(h); }
 
   /// Graceful close: FIN to the peer, QP recycled into the QP cache.

@@ -45,16 +45,7 @@ constexpr Param kParams[] = {
     param<&Config::frag_size>("frag_size", kOn),
     param<&Config::health_adaptive>("health_adaptive", kOn),
     param<&Config::health_breaker>("health_breaker", kOn),
-    param<&Config::health_crc_degraded>("health_crc_degraded", kOn),
-    param<&Config::health_degraded_rtt_x>("health_degraded_rtt_x", kOn),
-    param<&Config::health_flap_window, kMs>("health_flap_window_ms", kOn),
     param<&Config::health_halfopen_probes>("health_halfopen_probes", kOn),
-    param<&Config::health_holddown_base, kMs>("health_holddown_base_ms", kOn),
-    param<&Config::health_holddown_max, kMs>("health_holddown_max_ms", kOn),
-    param<&Config::health_min_samples>("health_min_samples", kOn),
-    param<&Config::health_phi_dead>("health_phi_dead", kOn),
-    param<&Config::health_phi_suspect>("health_phi_suspect", kOn),
-    param<&Config::health_retx_degraded>("health_retx_degraded", kOn),
     param<&Config::ibqp_alloc_type>("ibqp_alloc_type", kOff),
     param<&Config::inline_max>("inline_max", kOn),
     param<&Config::integrity_retry_max>("integrity_retry_max", kOn),
@@ -66,7 +57,6 @@ constexpr Param kParams[] = {
     param<&Config::lifecycle_retry_after, kMs>("lifecycle_retry_after_ms", kOn),
     param<&Config::max_outstanding_wrs>("max_outstanding_wrs", kOn),
     param<&Config::mem_hard_pct>("mem_hard_pct", kOn),
-    param<&Config::mem_retry_interval, kUs>("mem_retry_interval_us", kOn),
     param<&Config::mem_soft_pct>("mem_soft_pct", kOn),
     param<&Config::memcache_ctrl_reserve>("memcache_ctrl_reserve", kOff),
     param<&Config::memcache_idle_shrink, kMs>("memcache_idle_shrink_ms", kOn),
@@ -75,7 +65,6 @@ constexpr Param kParams[] = {
     param<&Config::proto_features>("proto_features", kOff),
     param<&Config::proto_version_max>("proto_version_max", kOff),
     param<&Config::proto_version_min>("proto_version_min", kOff),
-    param<&Config::recorder_capacity>("recorder_capacity", kOff),
     param<&Config::recorder_enabled>("recorder_enabled", kOn),
     param<&Config::recorder_sample_mask>("recorder_sample_mask", kOn),
     param<&Config::recovery_backoff, kUs>("recovery_backoff_us", kOn),
@@ -87,7 +76,6 @@ constexpr Param kParams[] = {
     param<&Config::trace_sample_mask>("trace_sample_mask", kOn),
     param<&Config::tx_queue_max_bytes>("tx_queue_max_bytes", kOn),
     param<&Config::tx_queue_max_msgs>("tx_queue_max_msgs", kOn),
-    param<&Config::tx_writable_pct>("tx_writable_pct", kOn),
     param<&Config::use_srq>("use_srq", kOff),
     param<&Config::window_depth>("window_depth", kOff),
 };

@@ -33,9 +33,6 @@ struct Config {
   // online so a hot node can be quieted or zoomed without restart.
   bool recorder_enabled = true;
   std::uint32_t recorder_sample_mask = 63;
-  // Ring capacity in records (rounded up to a power of two). Offline: the
-  // ring is sized once at context creation.
-  std::uint32_t recorder_capacity = 4096;
 
   // ---- Channel recovery ----
   // On QP error the channel parks its window and re-establishes a QP
@@ -47,35 +44,16 @@ struct Config {
   // TCP fallback when a fallback provider is installed.
   bool fallback_auto = true;
 
-  // ---- Peer health plane (all online; see README "Health plane") ----
+  // ---- Peer health plane (online; see README "Health plane") ----
+  // The detector thresholds are HealthMonitor constants.
   // φ-accrual silence bound instead of the fixed keepalive_timeout cliff.
   // Off by default: fixed mode is the drop-in-compatible Table III behavior.
   bool health_adaptive = false;
-  // φ thresholds (φ = -log10 P(the peer is merely late)). suspect gates the
-  // halved recovery budget; dead sizes the adaptive silence bound.
-  std::uint32_t health_phi_suspect = 2;
-  std::uint32_t health_phi_dead = 8;
-  // Proof-of-life interval samples required before the adaptive bound is
-  // trusted; below this the fixed keepalive_timeout applies.
-  std::uint32_t health_min_samples = 8;
   // Circuit breaker: once a peer is declared dead, only this many designated
   // half-open probe channels may issue CM connect attempts; every other
   // channel to the peer skips its retry ladder (fallback/parked).
   bool health_breaker = true;
   std::uint32_t health_halfopen_probes = 1;
-  // Flap suppression: a restore-then-fail cycle inside this window counts as
-  // a flap and escalates the per-peer hold-down (base << level, capped).
-  Nanos health_flap_window = millis(1000);
-  Nanos health_holddown_base = millis(50);
-  Nanos health_holddown_max = millis(2000);
-  // Degraded detectors: probe-RTT short/long EWMA inflation factor, and
-  // retransmits per evaluation scan.
-  std::uint32_t health_degraded_rtt_x = 4;
-  std::uint32_t health_retx_degraded = 32;
-  // Corruption-storm detector: CRC failures within the last four
-  // evaluation scans that grade the peer degraded (0 disables). Fed by the channel's receive-side
-  // integrity verification (e2e_crc).
-  std::uint32_t health_crc_degraded = 8;
 
   // ---- End-to-end integrity plane (online; see README) ----
   // Stamp + verify the CRC32C header TLV on channels where both ends
@@ -139,20 +117,16 @@ struct Config {
 
   // ---- Overload control (§VI graceful degradation) ----
   // Bounded tx queue: past either cap, send/call return Errc::would_block
-  // until the queue drains below tx_writable_pct and on_writable fires.
+  // until the queue drains to half of it and on_writable fires.
   // 0 = unbounded (legacy behavior).
   std::uint32_t tx_queue_max_msgs = 0;      // per-channel pending_tx_ cap
   std::uint64_t tx_queue_max_bytes = 0;     // per-channel payload-bytes cap
   std::uint64_t ctx_tx_max_bytes = 0;       // aggregate cap across channels
-  std::uint32_t tx_writable_pct = 50;       // low watermark (% of the cap)
   // Memory-pressure ladder over the data cache (% of its budget in use).
   // 0 disables a rung. soft: shed new rendezvous pulls + shrink; hard:
   // shed all new data work, control plane only.
   std::uint32_t mem_soft_pct = 0;
   std::uint32_t mem_hard_pct = 0;
-  // Retry cadence for memory-deferred work; also the retry-after hint a
-  // receiver NAK carries back to the sender.
-  Nanos mem_retry_interval = micros(100);
 
   // ---- Resource management ----
   std::uint64_t memcache_mr_bytes = 4u << 20;
@@ -161,10 +135,6 @@ struct Config {
   Nanos memcache_shrink_period = millis(50);  // reclaim idle MRs (0 = never)
   Nanos memcache_idle_shrink = millis(20);    // idle-triggered shrink (0 = off)
   std::size_t memcache_max_mrs = 4096;        // data-cache budget (offline)
-  // Ctrl-cache budget, deliberately separate from the data budget: shrinking
-  // the data pool to provoke the pressure ladder must not also strangle the
-  // bounce-buffer / ACK pool the control plane lives in.
-  std::size_t memcache_ctrl_max_mrs = 4096;
   std::uint64_t memcache_ctrl_reserve = 64 * 1024;  // control-plane quota
   std::size_t qp_cache_capacity = 256;
 
@@ -172,14 +142,6 @@ struct Config {
   PollMode poll_mode = PollMode::hybrid;
   Nanos busy_poll_interval = nanos(100);
   std::uint32_t hybrid_idle_spins = 1000;   // busy polls before parking
-  Nanos event_wakeup_latency = nanos(1500); // epoll wake + context switch
-
-  // ---- Software path costs (calibrated; see EXPERIMENTS.md) ----
-  // Per-message cost of the X-RDMA send path (framing, window bookkeeping,
-  // WR posting). The receive path runs inline in polling() and its cost is
-  // carried by the RNIC rx model.
-  Nanos send_path_overhead = nanos(250);
-  Nanos trace_overhead = nanos(50);   // extra per message in req-rsp mode
 };
 
 /// Dynamic-tuning surface: string-keyed access to the *online* parameters.

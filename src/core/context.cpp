@@ -8,6 +8,14 @@
 namespace xrdma::core {
 
 namespace {
+// Ctrl-cache budget in MRs, deliberately separate from the data budget
+// (memcache_max_mrs): shrinking the data pool to provoke the pressure
+// ladder must not also strangle the bounce-buffer / ACK pool the control
+// plane lives in.
+constexpr std::size_t kCtrlCacheMaxMrs = 4096;
+// Event-mode wake-up cost: epoll wake plus a context switch.
+constexpr Nanos kEventWakeupLatency = nanos(1500);
+
 constexpr std::uint32_t kHandshakeMagic = 0x5852434d;  // "XRCM"
 constexpr std::uint32_t kHsResume = 1u << 0;  // re-attach to a live channel
 constexpr std::uint32_t kHsVersioned = 1u << 1;  // 44-byte form with the
@@ -126,13 +134,12 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
       cm_(cm),
       cfg_(config),
       registry_(cfg_),
-      recorder_(cfg_.recorder_capacity),
       health_(nic.engine(), cfg_),
       pd_(nic),
       send_cq_(pd_.create_cq(cfg_.cq_size)),
       recv_cq_(pd_.create_cq(cfg_.cq_size)),
       ctrl_cache_(nic, MemCacheConfig{.mr_bytes = cfg_.memcache_mr_bytes,
-                                      .max_mrs = cfg_.memcache_ctrl_max_mrs,
+                                      .max_mrs = kCtrlCacheMaxMrs,
                                       .isolation = cfg_.memcache_isolation,
                                       .real_memory = true,
                                       .reserve_bytes = cfg_.memcache_ctrl_reserve}),
@@ -144,7 +151,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
       scan_timer_(nic.engine(), cfg_.deadlock_scan_period,
                   [this] { scan_tick(); }),
       event_fd_(nic.engine(), static_cast<int>(nic.node()) * 1000 + 3,
-                cfg_.event_wakeup_latency),
+                kEventWakeupLatency),
       event_fd_id_(static_cast<int>(nic.node()) * 1000 + 3) {
   trace_epoch_ = (static_cast<std::uint64_t>(nic.node()) << 56) ^
                  (next_context_instance() << 40);
@@ -661,6 +668,7 @@ void Context::start_polling_loop() {
   if (loop_running_) return;
   loop_running_ = true;
   idle_spins_ = 0;
+  last_poll_ = -1;  // a deliberate stop is not a slow poll
   // A tick or park waiter still pending from before a stop carries on the
   // restarted loop: one chain, never two.
   if (loop_tick_.armed() || parked_) return;
@@ -718,8 +726,9 @@ void Context::account_quiet(std::uint64_t n, Nanos last, Nanos period) {
   const Nanos first = last - static_cast<Nanos>(n - 1) * period;
   stats_.polls += n;
   stats_.empty_polls += n;
-  stats_.worst_poll_gap = std::max(
-      {stats_.worst_poll_gap, first - last_poll_, n > 1 ? period : 0});
+  stats_.worst_poll_gap =
+      std::max({stats_.worst_poll_gap, last_poll_ < 0 ? 0 : first - last_poll_,
+                n > 1 ? period : 0});
   last_poll_ = last;
   if (cfg_.poll_mode == PollMode::hybrid) {
     idle_spins_ += static_cast<std::uint32_t>(n);
@@ -736,6 +745,7 @@ void Context::park() {
   event_fd_.wait([this] {
     parked_ = false;
     if (!loop_running_) return;
+    last_poll_ = -1;  // parked on purpose: the wait is not a poll gap
     ++stats_.wakeups;
     poll_loop_step();
   });

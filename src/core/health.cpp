@@ -136,7 +136,7 @@ void HealthMonitor::note_fault(net::NodeId peer) {
   // Faults caused by a peer tearing itself down on purpose are not flaps:
   // escalating the hold-down would punish the announced restart.
   if (rec.draining && now < rec.drain_until) return;
-  if (rec.last_restore > 0 && now - rec.last_restore <= cfg_.health_flap_window) {
+  if (rec.last_restore > 0 && now - rec.last_restore <= kFlapWindow) {
     // Restore-then-fail inside the flap window: escalate the hold-down.
     ++rec.flaps;
     ++stats_.flaps;
@@ -147,9 +147,8 @@ void HealthMonitor::note_fault(net::NodeId peer) {
       ++rec.holddown_level;
       ++stats_.holddown_escalations;
     }
-    const Nanos hd =
-        std::min(cfg_.health_holddown_base << (rec.holddown_level - 1),
-                 cfg_.health_holddown_max);
+    const Nanos hd = std::min(kHolddownBase << (rec.holddown_level - 1),
+                              kHolddownMax);
     rec.holddown_until = now + std::max<Nanos>(hd, 0);
     rec_log(analysis::RecEvent::holddown,
             static_cast<std::uint16_t>(rec.holddown_level),
@@ -307,11 +306,11 @@ double HealthMonitor::phi_of(const PeerRecord& rec, Nanos now) const {
 }
 
 Nanos HealthMonitor::bound_of(const PeerRecord& rec) const {
-  if (!cfg_.health_adaptive || rec.interval_count < cfg_.health_min_samples) {
+  if (!cfg_.health_adaptive || rec.interval_count < kMinSamples) {
     return cfg_.keepalive_timeout;
   }
   const double z =
-      normal_tail_inverse(std::pow(10.0, -double(cfg_.health_phi_dead)));
+      normal_tail_inverse(std::pow(10.0, -kPhiDead));
   const double bound = interval_mean(rec) +
                        static_cast<double>(cfg_.keepalive_intv) +
                        z * interval_sigma(rec);
@@ -392,10 +391,8 @@ void HealthMonitor::evaluate(Nanos now) {
     } else {
       const bool rtt_inflated =
           rec.rtt_samples >= 4 &&
-          rec.rtt_short > double(cfg_.health_degraded_rtt_x) *
-                              std::max(rec.rtt_long, 1000.0);
-      const bool retx_storm = cfg_.health_retx_degraded > 0 &&
-                              rec.retx_in_scan >= cfg_.health_retx_degraded;
+          rec.rtt_short > kDegradedRttX * std::max(rec.rtt_long, 1000.0);
+      const bool retx_storm = rec.retx_in_scan >= kRetxDegraded;
       // CRC failures are counted over the last kCrcWindowScans scans, not
       // one: go-back-N stalls the stream for a NAK round-trip after every
       // failure, so even a heavy storm arrives in bursts that straddle scan
@@ -403,8 +400,7 @@ void HealthMonitor::evaluate(Nanos now) {
       // holds while it lasts.
       std::uint64_t crc_window = rec.crc_in_scan;
       for (std::uint64_t n : rec.crc_prev_scans) crc_window += n;
-      const bool crc_storm = cfg_.health_crc_degraded > 0 &&
-                             crc_window >= cfg_.health_crc_degraded;
+      const bool crc_storm = crc_window >= kCrcDegraded;
       if (crc_storm && !rec.crc_storm) {
         ++stats_.crc_storms;
         rec_log(analysis::RecEvent::corruption_storm, 0,
@@ -414,7 +410,7 @@ void HealthMonitor::evaluate(Nanos now) {
       if (rtt_inflated || retx_storm || crc_storm) {
         next = PeerState::degraded;
       } else if (rec.last_proof > 0 &&
-                 phi_of(rec, now) >= double(cfg_.health_phi_suspect)) {
+                 phi_of(rec, now) >= kPhiSuspect) {
         next = PeerState::suspect;
       }
     }
@@ -431,7 +427,7 @@ void HealthMonitor::evaluate(Nanos now) {
     rec.crc_in_scan = 0;
     // A long quiet spell forgives past flapping.
     if (rec.holddown_level > 0 && rec.last_flap > 0 &&
-        now - rec.last_flap > 4 * cfg_.health_flap_window &&
+        now - rec.last_flap > 4 * kFlapWindow &&
         now >= rec.holddown_until) {
       rec.holddown_level = 0;
       rec.holddown_until = 0;

@@ -14,7 +14,7 @@
 // designated channels may keep issuing CM connect attempts; everybody else
 // skips their retry ladder and parks on the fallback. Flap suppression adds
 // a per-peer hold-down that escalates exponentially while restore-then-fail
-// cycles land inside `health_flap_window`.
+// cycles land inside `kFlapWindow`.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +67,27 @@ struct PeerHealthView {
 
 class HealthMonitor {
  public:
+  // φ thresholds (φ = -log10 P(the peer is merely late)). Suspect gates the
+  // halved recovery budget; dead sizes the adaptive silence bound.
+  static constexpr double kPhiSuspect = 2.0;
+  static constexpr double kPhiDead = 8.0;
+  // Proof-of-life interval samples required before the adaptive bound is
+  // trusted; below this the fixed keepalive_timeout applies.
+  static constexpr std::size_t kMinSamples = 8;
+  // Flap suppression: a restore-then-fail cycle inside this window counts as
+  // a flap and escalates the per-peer hold-down (base << level, capped).
+  static constexpr Nanos kFlapWindow = millis(1000);
+  static constexpr Nanos kHolddownBase = millis(50);
+  static constexpr Nanos kHolddownMax = millis(2000);
+  // Degraded detectors: probe-RTT short/long EWMA inflation factor,
+  // retransmits per evaluation scan, and CRC failures within the last
+  // kCrcWindowScans scans (fed by the channel's e2e_crc verification).
+  static constexpr double kDegradedRttX = 4.0;
+  static constexpr std::uint64_t kRetxDegraded = 32;
+  static constexpr std::uint64_t kCrcDegraded = 8;
+  // Scans the corruption-storm detector sums CRC failures over.
+  static constexpr std::size_t kCrcWindowScans = 4;
+
   HealthMonitor(sim::Engine& engine, const Config& config)
       : engine_(engine), cfg_(config) {}
 
@@ -82,7 +103,7 @@ class HealthMonitor {
   /// A window entry had to be re-sent after recovery (degraded detector).
   void note_retransmit(net::NodeId peer);
   /// A frame from the peer failed e2e CRC verification (corruption-storm
-  /// detector: health_crc_degraded failures within the last kCrcWindowScans
+  /// detector: kCrcDegraded failures within the last kCrcWindowScans
   /// scans grade it degraded).
   void note_crc_failure(net::NodeId peer);
   /// A channel starts recovery against the peer; runs flap detection.
@@ -121,7 +142,7 @@ class HealthMonitor {
   // -- Verdicts --
   /// Silence (beyond the last probe ack) that means dead: the fixed
   /// keepalive_timeout, or the φ-accrual bound in adaptive mode once
-  /// health_min_samples intervals are banked.
+  /// kMinSamples intervals are banked.
   Nanos silence_bound(net::NodeId peer) const;
   /// Suspicion level now: φ = -log10 P(the peer is merely late).
   double phi(net::NodeId peer, Nanos now) const;
@@ -151,8 +172,6 @@ class HealthMonitor {
 
  private:
   static constexpr std::size_t kIntervalWindow = 64;
-  // Scans the corruption-storm detector sums CRC failures over.
-  static constexpr std::size_t kCrcWindowScans = 4;
 
   struct PeerRecord {
     std::uint32_t channels = 0;

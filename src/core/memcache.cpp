@@ -10,7 +10,7 @@ constexpr std::uint8_t kCanary = 0xa5;
 
 MemCache::MemCache(rnic::Rnic& nic, MemCacheConfig config)
     : nic_(nic), cfg_(config) {
-  for (std::size_t i = 0; i < cfg_.min_mrs; ++i) grow();
+  for (std::size_t i = 0; i < kMinMrs; ++i) grow();
 }
 
 MemCache::~MemCache() {
@@ -67,7 +67,7 @@ MemBlock MemCache::alloc(std::uint32_t len, bool privileged) {
       stats_.in_use_bytes += need;
       MemBlock block;
       block.addr = region.info.addr + offset +
-                   (cfg_.isolation ? cfg_.guard_bytes : 0);
+                   (cfg_.isolation ? kGuardBytes : 0);
       block.len = len;
       block.lkey = region.info.lkey;
       block.rkey = region.info.rkey;
@@ -96,7 +96,7 @@ void MemCache::free(const MemBlock& block) {
   note_activity();
   for (auto& region : mrs_) {
     if (region.info.lkey != block.lkey) continue;
-    const std::uint64_t guard = cfg_.isolation ? cfg_.guard_bytes : 0;
+    const std::uint64_t guard = cfg_.isolation ? kGuardBytes : 0;
     const std::uint64_t offset = block.addr - region.info.addr - guard;
     const std::uint32_t need = padded(block.len);
     if (cfg_.isolation && !check_guards(region, offset, block.len)) {
@@ -135,8 +135,8 @@ void MemCache::write_guards(Region& region, std::uint64_t offset,
   if (!cfg_.real_memory) return;
   std::uint8_t* base = nic_.mr_ptr(region.info.addr + offset, padded(len));
   if (!base) return;
-  std::memset(base, kCanary, cfg_.guard_bytes);
-  std::memset(base + cfg_.guard_bytes + len, kCanary, cfg_.guard_bytes);
+  std::memset(base, kCanary, kGuardBytes);
+  std::memset(base + kGuardBytes + len, kCanary, kGuardBytes);
 }
 
 bool MemCache::check_guards(Region& region, std::uint64_t offset,
@@ -144,9 +144,9 @@ bool MemCache::check_guards(Region& region, std::uint64_t offset,
   if (!cfg_.real_memory) return true;
   std::uint8_t* base = nic_.mr_ptr(region.info.addr + offset, padded(len));
   if (!base) return true;
-  for (std::uint32_t i = 0; i < cfg_.guard_bytes; ++i) {
+  for (std::uint32_t i = 0; i < kGuardBytes; ++i) {
     if (base[i] != kCanary) return false;
-    if (base[cfg_.guard_bytes + len + i] != kCanary) return false;
+    if (base[kGuardBytes + len + i] != kCanary) return false;
   }
   return true;
 }
@@ -173,7 +173,7 @@ void MemCache::note_activity() {
 }
 
 void MemCache::shrink() {
-  for (auto it = mrs_.begin(); it != mrs_.end() && mrs_.size() > cfg_.min_mrs;) {
+  for (auto it = mrs_.begin(); it != mrs_.end() && mrs_.size() > kMinMrs;) {
     if (it->used == 0) {
       nic_.dereg_mr(it->info.lkey);
       stats_.occupied_bytes -= cfg_.mr_bytes;

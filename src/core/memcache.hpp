@@ -31,10 +31,8 @@ struct MemBlock {
 
 struct MemCacheConfig {
   std::uint64_t mr_bytes = 4u << 20;  // each registration (paper: 4 MB)
-  std::size_t min_mrs = 1;            // never shrink below this
   std::size_t max_mrs = 4096;
   bool isolation = true;              // guard bands + canaries
-  std::uint32_t guard_bytes = 64;
   bool real_memory = true;  // synthetic MRs for content-free benches
   /// Headroom (bytes of the max_mrs*mr_bytes budget) only privileged
   /// allocations may dip into. Keeps the control plane (ACK/NOP/keepalive/
@@ -63,6 +61,9 @@ struct MemCacheStats {
 
 class MemCache {
  public:
+  /// MRs registered up front; shrink never goes below this.
+  static constexpr std::size_t kMinMrs = 1;
+
   MemCache(rnic::Rnic& nic, MemCacheConfig config = {});
   ~MemCache();
   MemCache(const MemCache&) = delete;
@@ -83,7 +84,7 @@ class MemCache {
   /// Direct host pointer into a block (nullptr in synthetic mode).
   std::uint8_t* data(const MemBlock& block, std::uint32_t offset = 0);
 
-  /// Deregister MRs that are completely free, down to min_mrs.
+  /// Deregister MRs that are completely free, down to kMinMrs.
   void shrink();
 
   /// Shrink automatically once the cache has seen no alloc/free activity
@@ -110,6 +111,9 @@ class MemCache {
   }
 
  private:
+  // Canary band on each side of an allocation in isolation mode.
+  static constexpr std::uint32_t kGuardBytes = 64;
+
   struct Region {
     rnic::MrInfo info;
     // Free ranges as offset -> length, coalesced.
@@ -122,7 +126,7 @@ class MemCache {
   void write_guards(Region& region, std::uint64_t offset, std::uint32_t len);
   bool check_guards(Region& region, std::uint64_t offset, std::uint32_t len);
   std::uint32_t padded(std::uint32_t len) const {
-    return cfg_.isolation ? len + 2 * cfg_.guard_bytes : len;
+    return cfg_.isolation ? len + 2 * kGuardBytes : len;
   }
 
   rnic::Rnic& nic_;

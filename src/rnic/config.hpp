@@ -34,10 +34,9 @@ struct RnicConfig {
   std::uint32_t header_bytes = 64;   // per-packet wire overhead (RoCEv2-ish)
   std::uint32_t ack_bytes = 64;
 
-  // Processing latency model. The tx cost is split so WR chaining is
-  // measurable: a doorbell ring (MMIO write + scheduling) is paid once per
-  // post, the WQE fetch once per WR in the chain. A single-WR post costs
-  // doorbell + fetch = 600 ns, the pre-split calibration constant.
+  // Processing latency model. The tx cost of a post is a doorbell ring
+  // (MMIO write + scheduling) plus the WQE fetch: 600 ns together, the
+  // calibration constant.
   Nanos doorbell_overhead = nanos(250);  // MMIO doorbell + QP scheduling
   Nanos wqe_fetch_overhead = nanos(350); // per-WQE fetch + DMA setup
   Nanos rx_overhead = nanos(600);        // packet steering + DMA + CQE write

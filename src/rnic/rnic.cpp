@@ -301,46 +301,30 @@ Errc Rnic::validate_send(Qp& qp, const SendWr& wr) {
 }
 
 Errc Rnic::post_send(QpNum qpn, const SendWr& wr) {
-  return post_send(qpn, &wr, 1);
-}
-
-Errc Rnic::post_send(QpNum qpn, const SendWr* wrs, std::size_t count) {
   Qp* qp = find_qp(qpn);
   if (!qp) return Errc::not_found;
-  if (count == 0) return Errc::invalid_argument;
-  // All-or-nothing: the whole chain must fit and every WQE must validate
-  // before anything lands in the send queue.
-  if (qp->sq.size() + count > qp->caps.max_send_wr) {
-    return Errc::resource_exhausted;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const Errc rc = validate_send(*qp, wrs[i]);
-    if (rc != Errc::ok) return rc;
-  }
+  if (qp->sq.size() >= qp->caps.max_send_wr) return Errc::resource_exhausted;
+  if (const Errc rc = validate_send(*qp, wr); rc != Errc::ok) return rc;
 
-  // One doorbell (and one QP-context touch) for the chain; each WQE then
-  // pays its own fetch, and a payload DMA unless the data is inline or the
-  // opcode carries none. Consecutive posts on one QP serialize through the
-  // same tx pipeline, so a chain's saved doorbells are real wins.
-  Nanos at = std::max(engine_.now(), qp->tx_pipe_busy_until) +
-             config_.doorbell_overhead + touch_qp_cache(qpn);
+  // Doorbell plus QP-context touch, then the WQE fetch, then a payload DMA
+  // unless the data is inline or the opcode carries none. Consecutive posts
+  // on one QP serialize through the same tx pipeline.
+  const bool no_payload_dma =
+      wr.inline_data || wr.opcode == Opcode::read ||
+      wr.opcode == Opcode::atomic_fetch_add ||
+      wr.opcode == Opcode::atomic_cmp_swap;
+  const Nanos at = std::max(engine_.now(), qp->tx_pipe_busy_until) +
+                   config_.doorbell_overhead + touch_qp_cache(qpn) +
+                   config_.wqe_fetch_overhead +
+                   (no_payload_dma ? 0 : config_.dma_latency);
   ++stats_.doorbells;
-  for (std::size_t i = 0; i < count; ++i) {
-    const SendWr& wr = wrs[i];
-    const bool no_payload_dma =
-        wr.inline_data || wr.opcode == Opcode::read ||
-        wr.opcode == Opcode::atomic_fetch_add ||
-        wr.opcode == Opcode::atomic_cmp_swap;
-    at += config_.wqe_fetch_overhead +
-          (no_payload_dma ? 0 : config_.dma_latency);
-    PendingWr pending;
-    pending.wr = wr;
-    pending.msg_id = qp->next_msg_id++;
-    pending.eligible_at = at;
-    qp->sq.push_back(std::move(pending));
-    ++stats_.wrs_posted;
-    if (wr.inline_data) ++stats_.inline_wrs;
-  }
+  PendingWr pending;
+  pending.wr = wr;
+  pending.msg_id = qp->next_msg_id++;
+  pending.eligible_at = at;
+  qp->sq.push_back(std::move(pending));
+  ++stats_.wrs_posted;
+  if (wr.inline_data) ++stats_.inline_wrs;
   qp->tx_pipe_busy_until = at;
   mark_ready(*qp);
   return Errc::ok;

@@ -79,12 +79,10 @@ class Rnic {
   QpState qp_state(QpNum qpn) const;
   std::size_t num_qps() const { return qps_.size(); }
 
+  /// One WR, one doorbell: pays the doorbell, a QP-context cache touch,
+  /// the WQE fetch and (unless inline or payload-free) the payload DMA.
+  /// A WR that fails validation, or a full send queue, enqueues nothing.
   Errc post_send(QpNum qpn, const SendWr& wr);
-  /// Chained post: `count` WRs ring one doorbell and pay one QP-context
-  /// cache touch; each WR still pays its own WQE fetch (and payload DMA
-  /// unless inline). All-or-nothing — validation failures (including send
-  /// queue headroom for the whole chain) enqueue none of the WRs.
-  Errc post_send(QpNum qpn, const SendWr* wrs, std::size_t count);
   Errc post_recv(QpNum qpn, const RecvWr& wr);
   std::size_t send_queue_depth(QpNum qpn) const;
 

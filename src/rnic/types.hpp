@@ -132,8 +132,7 @@ struct RnicStats {
   std::uint64_t qp_errors = 0;
   std::uint64_t qp_cache_hits = 0;
   std::uint64_t qp_cache_misses = 0;
-  // Doorbell-batching decomposition: every post_send rings one doorbell;
-  // a chained post rings one for the whole chain.
+  // Tx decomposition: every post_send rings one doorbell for one WR.
   std::uint64_t doorbells = 0;
   std::uint64_t wrs_posted = 0;
   std::uint64_t inline_wrs = 0;

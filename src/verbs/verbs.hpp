@@ -132,11 +132,6 @@ class Qp {
   Errc post_send(const SendWr& wr) {
     return nic_ ? nic_->post_send(num_, wr) : Errc::not_found;
   }
-  /// Chained post (ibv_post_send with a linked wr list): one doorbell for
-  /// the whole chain, all-or-nothing admission.
-  Errc post_send_batch(const SendWr* wrs, std::size_t count) {
-    return nic_ ? nic_->post_send(num_, wrs, count) : Errc::not_found;
-  }
   Errc post_recv(const RecvWr& wr) {
     return nic_ ? nic_->post_recv(num_, wr) : Errc::not_found;
   }

@@ -452,40 +452,18 @@ TEST(ConfigSurface, EveryKeyDefaultUnitAndOnlineSplit) {
        [](const Config& c) { return c.tx_queue_max_bytes == 5000000000u; }},
       {"ctx_tx_max_bytes", 0, 6000000000,
        [](const Config& c) { return c.ctx_tx_max_bytes == 6000000000u; }},
-      {"tx_writable_pct", 50, 25,
-       [](const Config& c) { return c.tx_writable_pct == 25u; }},
       {"mem_soft_pct", 0, 60,
        [](const Config& c) { return c.mem_soft_pct == 60u; }},
       {"mem_hard_pct", 0, 90,
        [](const Config& c) { return c.mem_hard_pct == 90u; }},
-      {"mem_retry_interval_us", 100, 40,
-       [](const Config& c) { return c.mem_retry_interval == micros(40); }},
       {"memcache_idle_shrink_ms", 20, 3,
        [](const Config& c) { return c.memcache_idle_shrink == millis(3); }},
       {"health_adaptive", 0, 1,
        [](const Config& c) { return c.health_adaptive; }},
-      {"health_phi_suspect", 2, 3,
-       [](const Config& c) { return c.health_phi_suspect == 3u; }},
-      {"health_phi_dead", 8, 11,
-       [](const Config& c) { return c.health_phi_dead == 11u; }},
-      {"health_min_samples", 8, 4,
-       [](const Config& c) { return c.health_min_samples == 4u; }},
       {"health_breaker", 1, 0,
        [](const Config& c) { return !c.health_breaker; }},
       {"health_halfopen_probes", 1, 2,
        [](const Config& c) { return c.health_halfopen_probes == 2u; }},
-      {"health_flap_window_ms", 1000, 750,
-       [](const Config& c) { return c.health_flap_window == millis(750); }},
-      {"health_holddown_base_ms", 50, 60,
-       [](const Config& c) { return c.health_holddown_base == millis(60); }},
-      {"health_holddown_max_ms", 2000, 3000,
-       [](const Config& c) { return c.health_holddown_max == millis(3000); }},
-      {"health_degraded_rtt_x", 4, 6,
-       [](const Config& c) { return c.health_degraded_rtt_x == 6u; }},
-      {"health_retx_degraded", 32, 64,
-       [](const Config& c) { return c.health_retx_degraded == 64u; }},
-      {"health_crc_degraded", 8, 0,
-       [](const Config& c) { return c.health_crc_degraded == 0u; }},
       {"e2e_crc", 1, 0, [](const Config& c) { return !c.e2e_crc; }},
       {"integrity_retry_max", 3, 1,
        [](const Config& c) { return c.integrity_retry_max == 1u; }},
@@ -507,11 +485,10 @@ TEST(ConfigSurface, EveryKeyDefaultUnitAndOnlineSplit) {
       {"srq_size", 4096},       {"fork_safe", 0},
       {"ibqp_alloc_type", 1},   {"small_msg_size", 4096},
       {"window_depth", 64},     {"memcache_max_mrs", 4096},
-      {"memcache_ctrl_reserve", 65536}, {"recorder_capacity", 4096},
-      {"proto_version_min", 1}, {"proto_version_max", 2},
-      {"proto_features", 7},
+      {"memcache_ctrl_reserve", 65536}, {"proto_version_min", 1},
+      {"proto_version_max", 2}, {"proto_features", 7},
   };
-  ASSERT_EQ(online.size(), 40u);
+  ASSERT_EQ(online.size(), 29u);
 
   Config cfg;
   ConfigRegistry reg(cfg);

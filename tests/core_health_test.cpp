@@ -63,7 +63,7 @@ TEST(Health, PhiRampsWithSilenceAndAdaptiveBoundLearnsCadence) {
   EXPECT_LT(phi_fresh, 0.5);
   EXPECT_LT(phi_fresh, phi_mid);
   EXPECT_LT(phi_mid, phi_late);
-  EXPECT_GE(phi_late, static_cast<double>(cfg.health_phi_dead));
+  EXPECT_GE(phi_late, HealthMonitor::kPhiDead);
 
   // evaluate() grades the silence: suspect once phi crosses the knee.
   eng.run_for(millis(40));
@@ -126,7 +126,7 @@ TEST(Health, DegradedOnProbeRttInflation) {
 TEST(Health, CrcStormSpreadOverScansGradesDegradedOnce) {
   sim::Engine eng;
   Config cfg = health_cfg();
-  ASSERT_EQ(cfg.health_crc_degraded, 8u);
+  ASSERT_EQ(HealthMonitor::kCrcDegraded, 8u);
   HealthMonitor hm(eng, cfg);
   hm.register_channel(3);
   auto scan = [&](int crc_failures) {

@@ -66,7 +66,7 @@ TEST_F(CacheFixture, ShrinkReleasesIdleMrs) {
   const std::size_t grown = cache.num_mrs();
   for (const auto& b : blocks) cache.free(b);
   cache.shrink();
-  EXPECT_EQ(cache.num_mrs(), cfg.min_mrs);
+  EXPECT_EQ(cache.num_mrs(), MemCache::kMinMrs);
   EXPECT_LT(cache.num_mrs(), grown);
   EXPECT_GT(cache.stats().shrink_events, 0u);
 }
@@ -157,7 +157,7 @@ TEST_F(CacheFixture, IdleShrinkFiresAfterQuietPeriod) {
   // Go quiet: the idle timer reclaims everything down to min_mrs.
   cluster.engine().run_for(millis(10));
   EXPECT_EQ(cache.stats().idle_shrink_fires, 1u);
-  EXPECT_EQ(cache.num_mrs(), cfg.min_mrs);
+  EXPECT_EQ(cache.num_mrs(), MemCache::kMinMrs);
   // One fire per idle spell, not a periodic drumbeat.
   cluster.engine().run_for(millis(50));
   EXPECT_EQ(cache.stats().idle_shrink_fires, 1u);
@@ -248,7 +248,7 @@ TEST_P(MemCacheProperty, RandomAllocFreeKeepsInvariants) {
   EXPECT_EQ(cache.stats().in_use_bytes, 0u);
   EXPECT_EQ(cache.stats().guard_violations, 0u);
   cache.shrink();
-  EXPECT_EQ(cache.num_mrs(), cfg.min_mrs);
+  EXPECT_EQ(cache.num_mrs(), MemCache::kMinMrs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemCacheProperty,

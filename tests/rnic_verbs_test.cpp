@@ -596,38 +596,6 @@ TEST(QpCache, MissesTrackedWhenWorkingSetExceedsSram) {
   EXPECT_GT(st.qp_cache_hits + st.qp_cache_misses, 0u);
 }
 
-TEST(RcVerbs, ChainedPostRingsOneDoorbell) {
-  RcPair t;
-  Mr smr = t.pd0.reg_mr(4096);
-  Mr rmr = t.pd1.reg_mr(4096);
-  for (int i = 0; i < 4; ++i) {
-    t.qp1.post_recv({.wr_id = static_cast<std::uint64_t>(i),
-                     .sge = {rmr.addr(), 4096, rmr.lkey()}});
-  }
-  const std::uint64_t doorbells_before = t.cluster.rnic(0).stats().doorbells;
-  const std::uint64_t wrs_before = t.cluster.rnic(0).stats().wrs_posted;
-  std::vector<SendWr> chain(4);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    chain[i].wr_id = i;
-    chain[i].opcode = Opcode::send;
-    chain[i].local = {smr.addr(), 64, smr.lkey()};
-  }
-  ASSERT_EQ(t.qp0.post_send_batch(chain.data(), chain.size()), Errc::ok);
-  t.cluster.run();
-  // The whole chain rode one doorbell; each WQE still counted.
-  EXPECT_EQ(t.cluster.rnic(0).stats().doorbells, doorbells_before + 1);
-  EXPECT_EQ(t.cluster.rnic(0).stats().wrs_posted, wrs_before + 4);
-  std::vector<Wc> swc, rwc;
-  RcPair::drain(t.scq0, swc);
-  RcPair::drain(t.rcq1, rwc);
-  ASSERT_EQ(swc.size(), 4u);
-  ASSERT_EQ(rwc.size(), 4u);
-  for (std::size_t i = 0; i < swc.size(); ++i) {
-    EXPECT_EQ(swc[i].wr_id, i);  // completion order == chain order
-    EXPECT_EQ(swc[i].status, Errc::ok);
-  }
-}
-
 TEST(RcVerbs, InlineSendDeliversWithoutLocalMr) {
   RcPair t;
   Mr rmr = t.pd1.reg_mr(4096);
@@ -673,32 +641,6 @@ TEST(RcVerbs, InlineValidationRejectsBadOpcodeAndOversize) {
   std::vector<Wc> swc;
   RcPair::drain(t.scq0, swc);
   EXPECT_TRUE(swc.empty());  // nothing reached the send queue
-}
-
-TEST(RcVerbs, ChainedPostIsAllOrNothing) {
-  RcPair t(QpCaps{.max_send_wr = 4, .max_recv_wr = 16});
-  Mr smr = t.pd0.reg_mr(64);
-  // A 6-WR chain cannot fit a 4-deep SQ: the whole chain must bounce, not
-  // post a 4-WR prefix (the caller's accounting depends on it).
-  std::vector<SendWr> chain(6);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    chain[i].wr_id = i;
-    chain[i].opcode = Opcode::write;
-    chain[i].local = {smr.addr(), 8, smr.lkey()};
-    chain[i].remote_addr = 0;
-    chain[i].rkey = 0;
-  }
-  EXPECT_EQ(t.qp0.post_send_batch(chain.data(), chain.size()),
-            Errc::resource_exhausted);
-  // A chain with one invalid WQE in the middle bounces whole too.
-  chain.resize(3);
-  chain[1].local.lkey = 0xbad;
-  EXPECT_EQ(t.qp0.post_send_batch(chain.data(), chain.size()),
-            Errc::local_protection_error);
-  t.cluster.run();
-  std::vector<Wc> swc;
-  RcPair::drain(t.scq0, swc);
-  EXPECT_TRUE(swc.empty());
 }
 
 TEST(RcVerbs, QpResetClearsStateForReuse) {

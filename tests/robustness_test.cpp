@@ -372,6 +372,60 @@ TEST(QuietPolling, StopWhileQuietThenRestart) {
   EXPECT_EQ(ctx.stats().polls, 30002u);
 }
 
+// The poll-gap watchdog measures gaps inside a running loop. A loop that
+// was stopped on purpose, or parked on an empty CQ, is not a slow poll: no
+// trip, no warning, no flight-recorder dump.
+
+TEST(PollWatchdog, StopThenRestartIsNotASlowPoll) {
+  testbed::Cluster cluster;
+  Context ctx(cluster.rnic(0), cluster.cm(), busy_config());
+  analysis::Monitor monitor_probe(cluster.engine(), millis(1));  // log sink
+  int dumps = 0;
+  ctx.set_dump_hook([&](Context&, const std::string&) { ++dumps; });
+  sim::Engine& eng = cluster.engine();
+  ctx.start_polling_loop();
+  eng.run_until(millis(1));
+  ctx.stop_polling_loop();
+  eng.run_until(millis(5));
+  ctx.start_polling_loop();
+  eng.run_until(millis(6));
+  EXPECT_EQ(ctx.stats().polls, 20002u);
+  EXPECT_EQ(ctx.stats().slow_polls, 0u);
+  EXPECT_EQ(ctx.stats().watchdog_trips, 0u);
+  EXPECT_EQ(ctx.stats().worst_poll_gap, nanos(100));
+  EXPECT_EQ(monitor_probe.count_logs("slow poll"), 0u);
+  EXPECT_EQ(dumps, 0);
+}
+
+TEST(PollWatchdog, HybridParkAndWakeIsNotASlowPoll) {
+  Config cfg;
+  cfg.poll_mode = core::PollMode::hybrid;
+  Pair t(cfg);
+  analysis::Monitor monitor_probe(t.cluster.engine(), millis(1));  // log sink
+  int dumps = 0;
+  const auto count = [&](Context&, const std::string&) { ++dumps; };
+  t.server.set_dump_hook(count);
+  t.client.set_dump_hook(count);
+  t.server.start_polling_loop();
+  t.client.start_polling_loop();
+  int got = 0;
+  t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++got; });
+  // Both loops park after 1000 empty spins (100 us); the message wakes
+  // them 5 ms later.
+  t.cluster.engine().run_for(millis(5));
+  t.client_ch->send_msg(Buffer::make(64));
+  t.cluster.engine().run_for(millis(1));
+  EXPECT_EQ(got, 1);
+  for (Context* ctx : {&t.server, &t.client}) {
+    EXPECT_GE(ctx->stats().wakeups, 1u);
+    EXPECT_EQ(ctx->stats().slow_polls, 0u);
+    EXPECT_EQ(ctx->stats().watchdog_trips, 0u);
+    EXPECT_LE(ctx->stats().worst_poll_gap, cfg.polling_warn_cycle);
+  }
+  EXPECT_EQ(monitor_probe.count_logs("slow poll"), 0u);
+  EXPECT_EQ(dumps, 0);
+}
+
 TEST(QuietPolling, RestartWhileParkedKeepsTheParkedWaiter) {
   // The server parks, then restarts its loop: the restart keeps the parked
   // waiter instead of starting a second chain, so the next CQE wakes it and
