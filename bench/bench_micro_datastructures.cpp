@@ -51,8 +51,8 @@ void BM_EngineDeepQueue(benchmark::State& state) {
 BENCHMARK(BM_EngineDeepQueue)->Arg(1000)->Arg(100000);
 
 void BM_DeadlineTimerRearm(benchmark::State& state) {
-  // Pushing back a pending deadline (keepalive deferral on every send,
-  // MemCache idle-shrink on every alloc/free) with `depth` other events
+  // Pushing back a pending deadline (keepalive deferral on every send)
+  // with `depth` other events
   // pending. The deadline alternates between the front and the back of
   // the queue, so every re-arm crosses the whole heap: the worst case.
   const int depth = static_cast<int>(state.range(0));

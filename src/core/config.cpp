@@ -59,7 +59,6 @@ constexpr Param kParams[] = {
     param<&Config::mem_hard_pct>("mem_hard_pct", kOn),
     param<&Config::mem_soft_pct>("mem_soft_pct", kOn),
     param<&Config::memcache_ctrl_reserve>("memcache_ctrl_reserve", kOff),
-    param<&Config::memcache_idle_shrink, kMs>("memcache_idle_shrink_ms", kOn),
     param<&Config::memcache_max_mrs>("memcache_max_mrs", kOff),
     param<&Config::polling_warn_cycle, kUs>("polling_warn_cycle_us", kOn),
     param<&Config::proto_features>("proto_features", kOff),

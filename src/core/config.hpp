@@ -133,7 +133,6 @@ struct Config {
   bool memcache_isolation = true;
   bool memcache_real_memory = true;
   Nanos memcache_shrink_period = millis(50);  // reclaim idle MRs (0 = never)
-  Nanos memcache_idle_shrink = millis(20);    // idle-triggered shrink (0 = off)
   std::size_t memcache_max_mrs = 4096;        // data-cache budget (offline)
   std::uint64_t memcache_ctrl_reserve = 64 * 1024;  // control-plane quota
   std::size_t qp_cache_capacity = 256;

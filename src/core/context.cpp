@@ -179,11 +179,6 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
     auto it = by_qp_.find(qpn);
     if (it != by_qp_.end()) it->second->on_qp_error(reason);
   });
-  if (cfg_.memcache_idle_shrink > 0) {
-    ctrl_cache_.enable_idle_shrink(cfg_.memcache_idle_shrink);
-    data_cache_.enable_idle_shrink(cfg_.memcache_idle_shrink);
-  }
-  applied_idle_shrink_ = cfg_.memcache_idle_shrink;
   scan_timer_.start();
 }
 
@@ -816,17 +811,6 @@ void Context::scan_tick() {
   // zoom a hot node's ring without restart).
   recorder_.set_enabled(cfg_.recorder_enabled);
   recorder_.set_sample_mask(cfg_.recorder_sample_mask);
-  // Propagate online changes to the idle-shrink knob.
-  if (cfg_.memcache_idle_shrink != applied_idle_shrink_) {
-    applied_idle_shrink_ = cfg_.memcache_idle_shrink;
-    if (applied_idle_shrink_ > 0) {
-      ctrl_cache_.enable_idle_shrink(applied_idle_shrink_);
-      data_cache_.enable_idle_shrink(applied_idle_shrink_);
-    } else {
-      ctrl_cache_.disable_idle_shrink();
-      data_cache_.disable_idle_shrink();
-    }
-  }
 }
 
 const char* to_string(Lifecycle s) {

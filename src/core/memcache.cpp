@@ -34,7 +34,6 @@ MemCache::Region* MemCache::grow() {
 
 MemBlock MemCache::alloc(std::uint32_t len, bool privileged) {
   ++stats_.alloc_calls;
-  note_activity();
   const std::uint32_t need = padded(len);
   if (need > cfg_.mr_bytes) {
     ++stats_.failed_allocs;
@@ -93,7 +92,6 @@ MemBlock MemCache::alloc(std::uint32_t len, bool privileged) {
 
 void MemCache::free(const MemBlock& block) {
   ++stats_.free_calls;
-  note_activity();
   for (auto& region : mrs_) {
     if (region.info.lkey != block.lkey) continue;
     const std::uint64_t guard = cfg_.isolation ? kGuardBytes : 0;
@@ -149,27 +147,6 @@ bool MemCache::check_guards(Region& region, std::uint64_t offset,
     if (base[kGuardBytes + len + i] != kCanary) return false;
   }
   return true;
-}
-
-void MemCache::enable_idle_shrink(Nanos idle) {
-  idle_delay_ = idle;
-  if (!idle_timer_) {
-    idle_timer_ = std::make_unique<sim::DeadlineTimer>(nic_.engine(), [this] {
-      ++stats_.idle_shrink_fires;
-      shrink();
-      // Not re-armed: the next alloc/free starts the next idle spell.
-    });
-  }
-  idle_timer_->arm_after(idle_delay_);
-}
-
-void MemCache::disable_idle_shrink() {
-  idle_delay_ = 0;
-  if (idle_timer_) idle_timer_->cancel();
-}
-
-void MemCache::note_activity() {
-  if (idle_timer_ && idle_delay_ > 0) idle_timer_->arm_after(idle_delay_);
 }
 
 void MemCache::shrink() {

@@ -12,12 +12,9 @@
 #include <functional>
 #include <list>
 #include <map>
-#include <memory>
-#include <vector>
 
 #include "analysis/recorder.hpp"
 #include "rnic/rnic.hpp"
-#include "sim/timer.hpp"
 
 namespace xrdma::core {
 
@@ -56,7 +53,6 @@ struct MemCacheStats {
   std::uint64_t failed_allocs = 0;
   std::uint64_t reserve_denials = 0;         // non-privileged hit the reserve
   std::uint64_t privileged_alloc_fails = 0;  // control plane truly starved
-  std::uint64_t idle_shrink_fires = 0;
 };
 
 class MemCache {
@@ -84,14 +80,9 @@ class MemCache {
   /// Direct host pointer into a block (nullptr in synthetic mode).
   std::uint8_t* data(const MemBlock& block, std::uint32_t offset = 0);
 
-  /// Deregister MRs that are completely free, down to kMinMrs.
+  /// Deregister MRs that are completely free, down to kMinMrs. The Context
+  /// calls it every memcache_shrink_period and when memory pressure rises.
   void shrink();
-
-  /// Shrink automatically once the cache has seen no alloc/free activity
-  /// for `idle` (paper §IV-E: idle MRs are deregistered). Each alloc/free
-  /// pushes the deadline back; the timer fires at most once per idle spell.
-  void enable_idle_shrink(Nanos idle);
-  void disable_idle_shrink();
 
   /// Total capacity this cache may ever register.
   std::uint64_t budget_bytes() const { return cfg_.max_mrs * cfg_.mr_bytes; }
@@ -122,7 +113,6 @@ class MemCache {
   };
 
   Region* grow();
-  void note_activity();
   void write_guards(Region& region, std::uint64_t offset, std::uint32_t len);
   bool check_guards(Region& region, std::uint64_t offset, std::uint32_t len);
   std::uint32_t padded(std::uint32_t len) const {
@@ -134,8 +124,6 @@ class MemCache {
   std::list<Region> mrs_;
   MemCacheStats stats_;
   std::function<void(const MemBlock&)> on_violation_;
-  std::unique_ptr<sim::DeadlineTimer> idle_timer_;
-  Nanos idle_delay_ = 0;
   analysis::FlightRecorder* recorder_ = nullptr;
   std::uint16_t which_ = 0;
 };

@@ -415,6 +415,39 @@ TEST(Channel, SetFlagTunesOnlineParametersOnly) {
   EXPECT_EQ(v.value(), 4096);
 }
 
+// MemCache has one shrink policy: the Context's periodic scan. A burst of
+// rendezvous sends grows the data caches past one MR; once the burst has
+// freed, the first scan gives every fully free MR back. With the scan off
+// the grown capacity stays registered.
+TEST(MemCacheShrink, PeriodicScanReturnsABurstToOneMr) {
+  static constexpr std::uint64_t kMr = 256 * 1024;
+  const auto burst = [](Nanos shrink_period) {
+    Config cfg;
+    cfg.memcache_mr_bytes = kMr;
+    cfg.memcache_shrink_period = shrink_period;
+    Pair t(cfg);
+    t.establish();
+    int got = 0;
+    t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++got; });
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(t.client_ch->send_msg(Buffer::make(64 * 1024)), Errc::ok);
+    }
+    t.run(millis(2));
+    EXPECT_EQ(got, 16);
+    for (Context* ctx : {&t.client, &t.server}) {
+      EXPECT_EQ(ctx->data_cache().stats().in_use_bytes, 0u);
+      EXPECT_GT(ctx->data_cache().stats().occupied_bytes, kMr);
+    }
+    t.run(cfg.memcache_shrink_period + cfg.deadlock_scan_period);
+    return std::pair{t.client.data_cache().stats().occupied_bytes,
+                     t.server.data_cache().stats().occupied_bytes};
+  };
+  EXPECT_EQ(burst(millis(50)), std::pair(kMr, kMr));
+  const auto [client, server] = burst(0);
+  EXPECT_GT(client, kMr);
+  EXPECT_GT(server, kMr);
+}
+
 // Locks the whole Table III surface: every key, its default, its unit and
 // the Config member behind it, as written out by hand here.
 TEST(ConfigSurface, EveryKeyDefaultUnitAndOnlineSplit) {
@@ -456,8 +489,6 @@ TEST(ConfigSurface, EveryKeyDefaultUnitAndOnlineSplit) {
        [](const Config& c) { return c.mem_soft_pct == 60u; }},
       {"mem_hard_pct", 0, 90,
        [](const Config& c) { return c.mem_hard_pct == 90u; }},
-      {"memcache_idle_shrink_ms", 20, 3,
-       [](const Config& c) { return c.memcache_idle_shrink == millis(3); }},
       {"health_adaptive", 0, 1,
        [](const Config& c) { return c.health_adaptive; }},
       {"health_breaker", 1, 0,
@@ -488,7 +519,7 @@ TEST(ConfigSurface, EveryKeyDefaultUnitAndOnlineSplit) {
       {"memcache_ctrl_reserve", 65536}, {"proto_version_min", 1},
       {"proto_version_max", 2}, {"proto_features", 7},
   };
-  ASSERT_EQ(online.size(), 29u);
+  ASSERT_EQ(online.size(), 28u);
 
   Config cfg;
   ConfigRegistry reg(cfg);

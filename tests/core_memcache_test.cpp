@@ -138,31 +138,6 @@ TEST_F(CacheFixture, CoalescingAllowsLargeAllocAfterFragmentedFrees) {
   EXPECT_TRUE(cache.alloc(120 * 1024).valid());
 }
 
-TEST_F(CacheFixture, IdleShrinkFiresAfterQuietPeriod) {
-  MemCacheConfig cfg;
-  cfg.mr_bytes = 64 * 1024;
-  MemCache cache(nic, cfg);
-  cache.enable_idle_shrink(millis(5));
-  std::vector<MemBlock> blocks;
-  for (int i = 0; i < 40; ++i) blocks.push_back(cache.alloc(4096));
-  const std::size_t grown = cache.num_mrs();
-  ASSERT_GT(grown, 1u);
-  for (const auto& b : blocks) cache.free(b);
-  // Activity keeps pushing the deadline back: no fire while we churn.
-  for (int i = 0; i < 5; ++i) {
-    cluster.engine().run_for(millis(2));
-    cache.free(cache.alloc(64));
-  }
-  EXPECT_EQ(cache.stats().idle_shrink_fires, 0u);
-  // Go quiet: the idle timer reclaims everything down to min_mrs.
-  cluster.engine().run_for(millis(10));
-  EXPECT_EQ(cache.stats().idle_shrink_fires, 1u);
-  EXPECT_EQ(cache.num_mrs(), MemCache::kMinMrs);
-  // One fire per idle spell, not a periodic drumbeat.
-  cluster.engine().run_for(millis(50));
-  EXPECT_EQ(cache.stats().idle_shrink_fires, 1u);
-}
-
 TEST_F(CacheFixture, ReserveAdmitsOnlyPrivilegedAllocations) {
   MemCacheConfig cfg;
   cfg.mr_bytes = 64 * 1024;

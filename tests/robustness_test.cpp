@@ -315,7 +315,7 @@ TEST(QuietPolling, HybridParkWakeCyclesMatchThePerTickLoop) {
   EXPECT_EQ(t.server.stats().polls, 273u);
   EXPECT_EQ(t.client.stats().parks, 13u);
   EXPECT_EQ(t.client.stats().polls, 273u);
-  EXPECT_EQ(t.cluster.engine().events_processed(), 795u);
+  EXPECT_EQ(t.cluster.engine().events_processed(), 793u);
 }
 
 TEST(QuietPolling, LoweringTheWarnCycleOnlineTripsTheNextTick) {
@@ -465,7 +465,7 @@ TEST(QuietPolling, RestartWhileParkedKeepsTheParkedWaiter) {
   EXPECT_EQ(restarted.wakeups, 1u);
   EXPECT_EQ(restarted.parks, 2u);
   EXPECT_EQ(restarted.polls, 2002u);
-  EXPECT_EQ(restarted.events, 4092u);
+  EXPECT_EQ(restarted.events, 4090u);
   EXPECT_TRUE(restarted == run(false));
 }
 
