@@ -30,10 +30,10 @@ Sweep run_sweep(int num_qps) {
   sqps.reserve(static_cast<std::size_t>(num_qps));
   rqps.reserve(static_cast<std::size_t>(num_qps));
   for (int i = 0; i < num_qps; ++i) {
-    sqps.push_back(spd.create_qp(verbs::QpType::rc, scq, scq,
-                                 {.max_send_wr = 4, .max_recv_wr = 4}));
-    rqps.push_back(rpd.create_qp(verbs::QpType::rc, rcq, rcq,
-                                 {.max_send_wr = 4, .max_recv_wr = 4}));
+    sqps.push_back(
+        spd.create_qp(scq, scq, {.max_send_wr = 4, .max_recv_wr = 4}));
+    rqps.push_back(
+        rpd.create_qp(rcq, rcq, {.max_send_wr = 4, .max_recv_wr = 4}));
   }
   auto wire = [](verbs::Qp& qp, net::NodeId peer, rnic::QpNum pq) {
     verbs::QpAttr a;

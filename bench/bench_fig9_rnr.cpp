@@ -24,10 +24,10 @@ std::vector<Sample> run_raw(Nanos duration, Nanos bucket) {
   testbed::Cluster cluster;
   verbs::Pd spd(cluster.rnic(0)), rpd(cluster.rnic(1));
   verbs::Cq scq = spd.create_cq(4096), rcq = rpd.create_cq(4096);
-  verbs::Qp sqp = spd.create_qp(verbs::QpType::rc, scq, scq,
-                                {.max_send_wr = 512, .max_recv_wr = 64});
-  verbs::Qp rqp = rpd.create_qp(verbs::QpType::rc, rcq, rcq,
-                                {.max_send_wr = 64, .max_recv_wr = 64});
+  verbs::Qp sqp =
+      spd.create_qp(scq, scq, {.max_send_wr = 512, .max_recv_wr = 64});
+  verbs::Qp rqp =
+      rpd.create_qp(rcq, rcq, {.max_send_wr = 64, .max_recv_wr = 64});
   auto wire = [](verbs::Qp& qp, net::NodeId peer, rnic::QpNum pq) {
     verbs::QpAttr a;
     a.state = verbs::QpState::init;

@@ -41,8 +41,7 @@ struct Endpoint {
         pd(n),
         scq(pd.create_cq(64)),
         rcq(pd.create_cq(64)),
-        qp(pd.create_qp(QpType::rc, scq, rcq,
-                        {.max_send_wr = 32, .max_recv_wr = 32})),
+        qp(pd.create_qp(scq, rcq, {.max_send_wr = 32, .max_recv_wr = 32})),
         send_buf(pd.reg_mr(kSlot)),
         recv_bufs(pd.reg_mr(kSlot * kSlots)) {}
 

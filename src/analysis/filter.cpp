@@ -1,8 +1,5 @@
 #include "analysis/filter.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "core/channel.hpp"
 #include "rnic/types.hpp"
 
@@ -36,38 +33,6 @@ std::optional<FaultKind> fault_kind_from_string(std::string_view name) {
     if (name == kFaultKindNames[i]) return static_cast<FaultKind>(i);
   }
   return std::nullopt;
-}
-
-std::string format_rule(const FaultRule& rule) {
-  char buf[128];
-  std::snprintf(buf, sizeof(buf), "%s %.17g %llu %ld %lld",
-                to_string(rule.kind), rule.probability,
-                static_cast<unsigned long long>(rule.channel_id),
-                static_cast<long>(rule.budget),
-                static_cast<long long>(rule.delay));
-  return buf;
-}
-
-std::optional<FaultRule> parse_rule(std::string_view line) {
-  char kind[32] = {};
-  double prob = 0;
-  unsigned long long channel = 0;
-  long budget = 0;
-  long long delay = 0;
-  const std::string copy(line);
-  if (std::sscanf(copy.c_str(), "%31s %lg %llu %ld %lld", kind, &prob,
-                  &channel, &budget, &delay) != 5) {
-    return std::nullopt;
-  }
-  const auto k = fault_kind_from_string(kind);
-  if (!k) return std::nullopt;
-  FaultRule rule;
-  rule.kind = *k;
-  rule.probability = prob;
-  rule.channel_id = channel;
-  rule.budget = static_cast<std::int32_t>(budget);
-  rule.delay = delay;
-  return rule;
 }
 
 Filter::Filter(core::Context& ctx, std::uint64_t seed) : ctx_(ctx) {
@@ -197,103 +162,6 @@ void Filter::kill_qp_after(std::uint64_t channel_id, Nanos delay) {
       });
   timer->arm_after(delay);
   kill_timers_.push_back(std::move(timer));
-}
-
-FaultSchedule::FaultSchedule(Filter& filter, Config cfg)
-    : filter_(filter), cfg_(cfg) {
-  rng_.reseed(cfg_.seed);
-  kill_timer_ = std::make_unique<sim::DeadlineTimer>(
-      filter_.context().engine(), [this] { fire_kill(); });
-  flap_timer_ = std::make_unique<sim::DeadlineTimer>(
-      filter_.context().engine(), [this] { flap_tick(); });
-}
-
-FaultSchedule::~FaultSchedule() { stop(); }
-
-void FaultSchedule::start() {
-  if (running_) return;
-  running_ = true;
-  if (cfg_.drop_prob > 0) {
-    FaultRule r;
-    r.kind = FaultKind::ingress_drop;
-    r.probability = cfg_.drop_prob;
-    rule_ids_.push_back(filter_.add_rule(r));
-  }
-  if (cfg_.delay_prob > 0) {
-    FaultRule r;
-    r.kind = FaultKind::ingress_delay;
-    r.probability = cfg_.delay_prob;
-    r.delay = cfg_.max_delay;
-    rule_ids_.push_back(filter_.add_rule(r));
-  }
-  if (cfg_.brownout_prob > 0 && cfg_.brownout_delay > 0) {
-    for (const FaultKind kind :
-         {FaultKind::ingress_delay, FaultKind::egress_delay}) {
-      FaultRule r;
-      r.kind = kind;
-      r.probability = cfg_.brownout_prob;
-      r.delay = cfg_.brownout_delay;
-      rule_ids_.push_back(filter_.add_rule(r));
-    }
-  }
-  if (cfg_.flap_period > 0 && cfg_.flap_down > 0 &&
-      cfg_.flap_down < cfg_.flap_period && flap_hook_) {
-    flap_timer_->arm_after(cfg_.flap_period - cfg_.flap_down);
-  }
-  arm_next_kill();
-}
-
-void FaultSchedule::stop() {
-  if (!running_) return;
-  running_ = false;
-  kill_timer_->cancel();
-  flap_timer_->cancel();
-  if (flap_is_down_) {
-    flap_is_down_ = false;
-    if (flap_hook_) flap_hook_(false);
-  }
-  for (std::size_t id : rule_ids_) filter_.remove_rule(id);
-  rule_ids_.clear();
-}
-
-void FaultSchedule::arm_next_kill() {
-  if (!running_ || kills_ >= cfg_.max_kills) return;
-  // Uniform in [mean/2, 3*mean/2]: jittered but bounded, so a soak run's
-  // duration stays predictable.
-  const Nanos lo = cfg_.mean_kill_interval / 2;
-  const Nanos hi = cfg_.mean_kill_interval + lo;
-  kill_timer_->arm_after(static_cast<Nanos>(rng_.uniform(lo, hi)));
-}
-
-void FaultSchedule::fire_kill() {
-  if (!running_) return;
-  // Pick a random *established* channel; recovering ones already have a
-  // dead QP and killing a closed one is meaningless.
-  std::vector<core::Channel*> victims;
-  for (core::Channel* ch : filter_.context().channels()) {
-    if (ch->usable()) victims.push_back(ch);
-  }
-  if (!victims.empty()) {
-    core::Channel* victim =
-        victims[rng_.next_below(victims.size())];
-    filter_.kill_qp(*victim);
-    ++kills_;
-  }
-  arm_next_kill();
-}
-
-void FaultSchedule::flap_tick() {
-  if (!running_ || !flap_hook_) return;
-  if (!flap_is_down_) {
-    flap_is_down_ = true;
-    flap_hook_(true);
-    flap_timer_->arm_after(cfg_.flap_down);
-  } else {
-    flap_is_down_ = false;
-    ++flap_cycles_;
-    flap_hook_(false);
-    flap_timer_->arm_after(cfg_.flap_period - cfg_.flap_down);
-  }
 }
 
 }  // namespace xrdma::analysis

@@ -68,17 +68,12 @@ void XdbClient::run_txn() {
                        ++committed_;
                        const Nanos now = ctx_.engine().now();
                        latency_.record(now - started);
-                       tps_meter_.add(now, 1);
                      } else {
                        ++aborted_;
                      }
                      run_txn();
                    });
   });
-}
-
-double XdbClient::tps_now() {
-  return tps_meter_.bytes_per_sec(ctx_.engine().now());
 }
 
 }  // namespace xrdma::apps

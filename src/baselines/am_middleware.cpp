@@ -96,7 +96,7 @@ AmPair::AmPair(testbed::Cluster& cluster, net::NodeId a, net::NodeId b,
     auto side = std::make_unique<Side>(cluster_.rnic(node));
     side->is_client = is_client;
     side->cq = side->pd.create_cq(256);
-    side->qp = side->pd.create_qp(verbs::QpType::rc, side->cq, side->cq,
+    side->qp = side->pd.create_qp(side->cq, side->cq,
                                   {.max_send_wr = 64, .max_recv_wr = 64});
     side->slot_size = sizeof(WireHdr) + cfg_.header_bytes + eager_cap;
     side->stage = side->pd.reg_mr(side->slot_size);

@@ -24,13 +24,6 @@ void Logger::log(Nanos sim_time, LogLevel level, std::string component,
                  std::string message) {
   if (level < min_level_) return;
   LogRecord rec{sim_time, level, std::move(component), std::move(message)};
-  if (stderr_echo_) {
-    static const char* names[] = {"DEBUG", "INFO", "WARN", "ERROR"};
-    std::fprintf(stderr, "[%s] %s %s: %s\n",
-                 format_duration(rec.sim_time).c_str(),
-                 names[static_cast<int>(rec.level)], rec.component.c_str(),
-                 rec.message.c_str());
-  }
   for (auto& e : sinks_) e.sink(rec);
 }
 

@@ -31,13 +31,10 @@ class Logger {
   static Logger& global();
 
   void set_min_level(LogLevel level) { min_level_ = level; }
-  LogLevel min_level() const { return min_level_; }
 
   /// Adds a sink; returns an id usable with remove_sink.
   int add_sink(Sink sink);
   void remove_sink(int id);
-  /// Route records to stderr (off by default to keep bench output clean).
-  void set_stderr_echo(bool on) { stderr_echo_ = on; }
 
   void log(Nanos sim_time, LogLevel level, std::string component,
            std::string message);
@@ -48,7 +45,6 @@ class Logger {
     Sink sink;
   };
   LogLevel min_level_ = LogLevel::info;
-  bool stderr_echo_ = false;
   int next_id_ = 1;
   std::vector<Entry> sinks_;
 };

@@ -18,7 +18,6 @@ class Ewma {
     initialized_ = true;
   }
   double value() const { return value_; }
-  bool initialized() const { return initialized_; }
   void reset() { initialized_ = false; value_ = 0; }
 
  private:

@@ -78,8 +78,7 @@ void Channel::post_bounce_buffers() {
   // (standalone ACKs, NOPs, FIN). The sender's window bound plus this
   // pre-posting is what makes the protocol RNR-free (§V-B).
   const std::uint32_t count = 2 * cfg.window_depth + 8;
-  const std::uint32_t size =
-      WireHeader::kBareSize + WireHeader::kTraceSize + cfg.small_msg_size;
+  const std::uint32_t size = ctx_.bounce_slot_size();
   bounce_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     // Privileged: bounce buffers are what keeps the control plane (and
@@ -757,9 +756,7 @@ void Channel::on_recv_wc(const verbs::Wc& wc) {
   // Re-arm the bounce buffer immediately (run-to-complete), keeping the
   // receive queue topped up — the other half of RNR-freedom.
   if (state_ == State::established || state_ == State::closing) {
-    const std::uint32_t size =
-        WireHeader::kBareSize + WireHeader::kTraceSize +
-        ctx_.config().small_msg_size;
+    const std::uint32_t size = ctx_.bounce_slot_size();
     qp_.post_recv({.wr_id = wc.wr_id, .sge = {block.addr, size, block.lkey}});
   }
 }
@@ -1366,10 +1363,7 @@ void Channel::handle_transport_fault(Errc reason) {
     // Running on the fallback: an RDMA-side fault is moot — just shed the
     // dead QP and stay on TCP.
     if (qp_.valid()) {
-      ctx_.purge_channel_wrs(id_);
-      ctx_.channel_detach_qp(*this);
-      release_qp(/*recycle=*/true);
-      peer_qp_ = rnic::kInvalidId;
+      shed_qp();
       // release_qp cancelled the keepalive timer, but it now watches the
       // fallback stream: keep it running.
       keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
@@ -1407,12 +1401,7 @@ void Channel::start_recovery(Errc reason) {
   keepalive_posted_ = 0;
   ack_inflight_ = false;
   nop_inflight_ = false;
-  // Abandon the dead QP: purge its registered WRs (their WCs are already
-  // flushed or will never arrive), unroute it, recycle it via the QP cache.
-  ctx_.purge_channel_wrs(id_);
-  ctx_.channel_detach_qp(*this);
-  release_qp(/*recycle=*/true);
-  peer_qp_ = rnic::kInvalidId;
+  shed_qp();
 
   if (connector_) {
     schedule_recovery_attempt();  // first attempt fires immediately
@@ -1426,17 +1415,35 @@ void Channel::start_recovery(Errc reason) {
   }
 }
 
+void Channel::shed_qp() {
+  ctx_.purge_channel_wrs(id_);
+  ctx_.channel_detach_qp(*this);
+  release_qp(/*recycle=*/true);
+}
+
+bool Channel::park_for_drain() {
+  const Nanos left = ctx_.health().drain_remaining(peer_);
+  if (left <= 0) return false;
+  ++stats_.drain_recovery_parks;
+  recovery_timer_->arm_after(std::max(left, ctx_.config().recovery_backoff));
+  return true;
+}
+
+bool Channel::breaker_admits() {
+  if (ctx_.health().may_attempt(peer_, id_)) return true;
+  ++stats_.breaker_fastfails;
+  record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
+  ctx_.health().note_denied(peer_);
+  return false;
+}
+
 void Channel::schedule_recovery_attempt() {
   const Config& cfg = ctx_.config();
   // A peer that announced a drain is restarting on purpose: park the
   // ladder for its window instead of burning budget (and CM timeouts)
   // against a node that told us it is leaving. The timer re-fires after
   // the window and the ladder resumes where it left off, budget intact.
-  if (const Nanos left = ctx_.health().drain_remaining(peer_); left > 0) {
-    ++stats_.drain_recovery_parks;
-    recovery_timer_->arm_after(std::max(left, cfg.recovery_backoff));
-    return;
-  }
+  if (park_for_drain()) return;
   if (recovery_attempt_ >= recovery_budget_) {
     escalate_or_fail();
     return;
@@ -1444,10 +1451,7 @@ void Channel::schedule_recovery_attempt() {
   // Circuit breaker: once the peer is declared dead, only the designated
   // half-open probers keep their ladder; everyone else fails fast onto the
   // fallback instead of burning CM timeouts.
-  if (!ctx_.health().may_attempt(peer_, id_)) {
-    ++stats_.breaker_fastfails;
-    record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
-    ctx_.health().note_denied(peer_);
+  if (!breaker_admits()) {
     escalate_or_fail();
     return;
   }
@@ -1473,21 +1477,13 @@ void Channel::recovery_timer_fire() {
     }
     // Re-check the drain window at fire time too — the DRAIN may have
     // arrived while the backoff timer was armed.
-    if (const Nanos left = ctx_.health().drain_remaining(peer_); left > 0) {
-      ++stats_.drain_recovery_parks;
-      recovery_timer_->arm_after(
-          std::max(left, ctx_.config().recovery_backoff));
-      return;
-    }
+    if (park_for_drain()) return;
     // Re-check the breaker at fire time, not just at schedule time: when a
     // whole peer dies, every channel declares dead in the same scan and all
     // of them pass the schedule-time gate before any prober has been
     // designated. The first timer to fire claims the half-open slot inside
     // initiate_resume; the rest must fail fast here.
-    if (!ctx_.health().may_attempt(peer_, id_)) {
-      ++stats_.breaker_fastfails;
-      record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
-      ctx_.health().note_denied(peer_);
+    if (!breaker_admits()) {
       escalate_or_fail();
       return;
     }
@@ -1501,10 +1497,7 @@ void Channel::recovery_timer_fire() {
   if (state_ == State::established && mocked() && connector_) {
     // Background RDMA probe while riding the fallback — also behind the
     // breaker gate: parked channels re-check on the next probe tick.
-    if (!ctx_.health().may_attempt(peer_, id_)) {
-      ++stats_.breaker_fastfails;
-      record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
-      ctx_.health().note_denied(peer_);
+    if (!breaker_admits()) {
       arm_rdma_probe();
       return;
     }
@@ -1532,7 +1525,7 @@ void Channel::resume_attempt_failed(Errc) {
   }
 }
 
-void Channel::resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta) {
+void Channel::resume_adopt(verbs::Qp qp, Seq peer_rta) {
   resume_inflight_ = false;
   // Adopt whenever the channel is still alive. The acceptor side routinely
   // lands here established-and-unaware: its QP's death simply hasn't
@@ -1554,13 +1547,10 @@ void Channel::resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta) {
   if (qp_.valid()) {
     // Peer-initiated resume replacing a QP we still hold (its error just
     // hasn't surfaced here yet): drop ours first.
-    ctx_.purge_channel_wrs(id_);
-    ctx_.channel_detach_qp(*this);
-    release_qp(/*recycle=*/true);
+    shed_qp();
   }
   recovery_timer_->cancel();
   qp_ = std::move(qp);
-  peer_qp_ = peer_qp;
   set_state(State::established);
   ctx_.channel_attach_qp(*this);
   post_bounce_buffers();

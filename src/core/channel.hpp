@@ -99,7 +99,6 @@ class Channel {
   net::NodeId peer_node() const { return peer_; }
   std::uint64_t id() const { return id_; }
   rnic::QpNum qp_num() const { return qp_.num(); }
-  rnic::QpNum peer_qp_num() const { return peer_qp_; }
   Context& context() { return ctx_; }
   const ChannelStats& stats() const { return stats_; }
   /// Connection token minted at connect time: the stable identity that
@@ -305,7 +304,18 @@ class Channel {
   void schedule_recovery_attempt();
   void recovery_timer_fire();
   void resume_attempt_failed(Errc reason);
-  void resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta);
+  void resume_adopt(verbs::Qp qp, Seq peer_rta);
+  /// Abandon the dead QP: purge its registered WRs (their WCs are already
+  /// flushed or will never arrive), unroute it, recycle it via the QP cache.
+  void shed_qp();
+  /// A peer that announced a drain is restarting on purpose: park the
+  /// ladder for the rest of its window (at least one backoff step). True
+  /// when parked.
+  bool park_for_drain();
+  /// Circuit-breaker gate. When the peer's breaker denies this channel,
+  /// counts and records the fast-fail and returns false; the caller picks
+  /// the fallback step.
+  bool breaker_admits();
   void escalate_or_fail();
   void arm_rdma_probe();
   void retransmit_unacked();
@@ -315,7 +325,6 @@ class Channel {
   Context& ctx_;
   verbs::Qp qp_;
   net::NodeId peer_;
-  rnic::QpNum peer_qp_ = rnic::kInvalidId;
   std::uint64_t id_;
   State state_ = State::established;
 

@@ -164,8 +164,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
   data_cache_.set_recorder(&recorder_, /*which=*/1);
   if (cfg_.use_srq) {
     srq_ = nic_.create_srq(cfg_.srq_size);
-    const std::uint32_t size =
-        WireHeader::kBareSize + WireHeader::kTraceSize + cfg_.small_msg_size;
+    const std::uint32_t size = bounce_slot_size();
     srq_bounce_.reserve(cfg_.srq_size);
     for (std::uint32_t i = 0; i < cfg_.srq_size; ++i) {
       MemBlock block = ctrl_cache_.alloc(size, /*privileged=*/true);
@@ -224,7 +223,7 @@ Errc Context::listen(std::uint16_t port, ChannelHandler on_channel) {
           // Peer-driven QP resume: route the fresh QP into the existing
           // channel instead of creating a new one.
           if (Channel* ch = channel_by_token(hs->token)) {
-            ch->resume_adopt(std::move(est.qp), est.peer_qp, hs->rta);
+            ch->resume_adopt(std::move(est.qp), hs->rta);
           } else {
             qp_cache_.put(est.qp.release());  // channel is gone: recycle
           }
@@ -332,7 +331,6 @@ Channel* Context::adopt_established(verbs::cm::Established est, bool connector,
   const std::uint64_t id = next_channel_id_++;
   auto ch = std::unique_ptr<Channel>(
       new Channel(*this, std::move(est.qp), est.peer_node, id, send_depth));
-  ch->peer_qp_ = est.peer_qp;
   ch->connector_ = connector;
   ch->connect_port_ = port;
   ch->conn_token_ = token;
@@ -412,8 +410,7 @@ void Context::initiate_resume(Channel& ch) {
                   return;
                 }
                 const auto hs = decode_handshake(est.private_data);
-                ch->resume_adopt(std::move(est.qp), est.peer_qp,
-                                 hs ? hs->rta : 0);
+                ch->resume_adopt(std::move(est.qp), hs ? hs->rta : 0);
               });
 }
 
@@ -641,8 +638,7 @@ void Context::dispatch_recv_wc(const verbs::Wc& wc) {
     if (const std::uint8_t* bytes = ctrl_cache_.data(block)) {
       ch->process_wire(bytes, wc.byte_len);
     }
-    const std::uint32_t size =
-        WireHeader::kBareSize + WireHeader::kTraceSize + cfg_.small_msg_size;
+    const std::uint32_t size = bounce_slot_size();
     nic_.post_srq_recv(srq_,
                        {.wr_id = wc.wr_id,
                         .sge = {block.addr, size, block.lkey}});

@@ -9,7 +9,7 @@
 // Public surface follows Table I:
 //   send_msg    -> Channel::send_msg / call / reply
 //   polling     -> Context::polling
-//   get_event_fd / process_event -> Context::event_fd / process_event
+//   get_event_fd / process_event -> Context::get_event_fd / process_event
 //   (de)reg_mem -> Context::reg_mem / dereg_mem
 //   set_flag    -> Context::set_flag
 //   trace_request -> Context::trace_request
@@ -78,7 +78,6 @@ class Context : private sim::Engine::QuietOwner {
   /// this (or start_polling_loop drives it).
   int polling(int budget = 64);
 
-  EventFd& event_fd() { return event_fd_; }
   int get_event_fd() const { return event_fd_id_; }
   /// Handle an event-fd notification: clear it, poll, re-arm.
   int process_event();
@@ -94,7 +93,6 @@ class Context : private sim::Engine::QuietOwner {
   Result<std::int64_t> get_flag(const std::string& name) const {
     return registry_.get_flag(name);
   }
-  ConfigRegistry& config_registry() { return registry_; }
 
   TraceReport trace_request(const Msg& msg) const;
 
@@ -253,6 +251,13 @@ class Context : private sim::Engine::QuietOwner {
   };
   bool has_credit() const {
     return !cfg_.flowctl || outstanding_wrs_ < cfg_.max_outstanding_wrs;
+  }
+  /// One receive slot: the largest eager frame (traced header plus a
+  /// small-message payload). Every bounce buffer, per-channel or SRQ, is
+  /// this size.
+  std::uint32_t bounce_slot_size() const {
+    return WireHeader::kBareSize + WireHeader::kTraceSize +
+           cfg_.small_msg_size;
   }
   void post_or_queue(Channel& ch, verbs::SendWr wr);
   /// Charges one credit and rings the doorbell. On failure the charge is

@@ -171,19 +171,6 @@ bool Endpoint::tx_paused(TrafficClass c) const {
       ->paused[static_cast<int>(c)];
 }
 
-Nanos Endpoint::tx_pause_time() const {
-  const auto& port = *fabric_->ports_[static_cast<std::size_t>(port_)];
-  Nanos t = port.stats.paused_time;
-  if (port.paused[static_cast<int>(TrafficClass::lossless)]) {
-    t += fabric_->engine_.now() - port.paused_since;
-  }
-  return t;
-}
-
-const PortStats& Endpoint::tx_stats() const {
-  return fabric_->ports_[static_cast<std::size_t>(port_)]->stats;
-}
-
 void Fabric::enqueue(int port_index, Packet&& pkt, int ingress_port) {
   Port& port = *ports_[static_cast<std::size_t>(port_index)];
   const int c = static_cast<int>(pkt.tclass);

@@ -110,10 +110,6 @@ class Endpoint {
   std::uint64_t tx_queue_bytes(TrafficClass c) const;
   bool tx_paused(TrafficClass c) const;
 
-  /// Cumulative time the host's egress was PFC-paused (Fig. 10's TX pause).
-  Nanos tx_pause_time() const;
-  const PortStats& tx_stats() const;
-
   /// Invoked when a PFC pause on the host's egress lifts, so the NIC can
   /// resume feeding the port.
   void set_tx_unpaused_handler(std::function<void()> h) {
@@ -156,7 +152,6 @@ class Fabric {
   int new_port(Device* dev, double gbps, Nanos delay);
   void enqueue(int port_index, Packet&& pkt, int ingress_port);
   void maybe_start_tx(int port_index);
-  void finish_tx(int port_index);
   void deliver(int port_index, Packet&& pkt);
   void receive(Device* dev, int in_port, Packet&& pkt);
   int route(const Device& sw, const Packet& pkt);

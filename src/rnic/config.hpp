@@ -40,7 +40,7 @@ struct RnicConfig {
   Nanos doorbell_overhead = nanos(250);  // MMIO doorbell + QP scheduling
   Nanos wqe_fetch_overhead = nanos(350); // per-WQE fetch + DMA setup
   Nanos rx_overhead = nanos(600);        // packet steering + DMA + CQE write
-  // Control packets (acks, CNPs) and read/atomic requests are served in
+  // Control packets (acks, CNPs) and read requests are served in
   // the NIC pipeline without host-path DMA + CQE cost.
   Nanos rx_control_overhead = nanos(250);
   Nanos dma_latency = nanos(300);        // PCIe round trip folded per message

@@ -126,7 +126,6 @@ void Rnic::push_wc(CqId cqid, Wc wc) {
   Cq* cq = find_cq(cqid);
   if (!cq) return;
   cq->wcs.push_back(wc);
-  cq->high_water = std::max(cq->high_water, cq->wcs.size());
   if (cq->on_event) {
     auto fn = std::move(cq->on_event);
     cq->on_event = nullptr;
@@ -159,11 +158,9 @@ std::size_t Rnic::srq_outstanding(SrqId srqid) const {
 // --------------------------------------------------------------------------
 // Queue pairs.
 
-QpNum Rnic::create_qp(QpType type, CqId send_cq, CqId recv_cq, QpCaps caps,
-                      SrqId srq) {
+QpNum Rnic::create_qp(CqId send_cq, CqId recv_cq, QpCaps caps, SrqId srq) {
   auto qp = std::make_unique<Qp>(config_);
   qp->num = next_qpn_++;
-  qp->type = type;
   qp->send_cq = send_cq;
   qp->recv_cq = recv_cq;
   qp->srq = srq;
@@ -197,12 +194,6 @@ const Rnic::Qp* Rnic::find_qp(QpNum qpn) const {
 QpState Rnic::qp_state(QpNum qpn) const {
   const Qp* qp = find_qp(qpn);
   return qp ? qp->state : QpState::error;
-}
-
-std::size_t Rnic::send_queue_depth(QpNum qpn) const {
-  const Qp* qp = find_qp(qpn);
-  if (!qp) return 0;
-  return qp->sq.size() + qp->resend.size() + qp->inflight.size();
 }
 
 Errc Rnic::modify_qp(QpNum qpn, const QpAttr& attr) {
@@ -269,15 +260,10 @@ Errc Rnic::post_recv(QpNum qpn, const RecvWr& wr) {
 
 Errc Rnic::validate_send(Qp& qp, const SendWr& wr) {
   if (qp.state != QpState::rts) return Errc::invalid_argument;
-  const bool is_atomic = wr.opcode == Opcode::atomic_fetch_add ||
-                         wr.opcode == Opcode::atomic_cmp_swap;
   if (wr.inline_data) {
     // Inline payloads ride in the WQE: no MR, but a hard size ceiling, and
-    // only for the payload-carrying two-sided / write opcodes.
-    if (wr.opcode != Opcode::send && wr.opcode != Opcode::send_imm &&
-        wr.opcode != Opcode::write && wr.opcode != Opcode::write_imm) {
-      return Errc::invalid_argument;
-    }
+    // only for the payload-carrying opcodes (everything but Read).
+    if (wr.opcode == Opcode::read) return Errc::invalid_argument;
     if (wr.local.length > config_.max_inline_data) {
       return Errc::payload_too_large;
     }
@@ -289,14 +275,6 @@ Errc Rnic::validate_send(Qp& qp, const SendWr& wr) {
       return Errc::local_protection_error;
     }
   }
-  if (is_atomic && wr.local.length != 8) return Errc::invalid_argument;
-  if (qp.type == QpType::ud) {
-    if (wr.opcode != Opcode::send && wr.opcode != Opcode::send_imm) {
-      return Errc::invalid_argument;  // UD supports two-sided only
-    }
-    if (wr.local.length > config_.mtu) return Errc::payload_too_large;
-    if (wr.dest_node == net::kInvalidNode) return Errc::invalid_argument;
-  }
   return Errc::ok;
 }
 
@@ -307,12 +285,9 @@ Errc Rnic::post_send(QpNum qpn, const SendWr& wr) {
   if (const Errc rc = validate_send(*qp, wr); rc != Errc::ok) return rc;
 
   // Doorbell plus QP-context touch, then the WQE fetch, then a payload DMA
-  // unless the data is inline or the opcode carries none. Consecutive posts
-  // on one QP serialize through the same tx pipeline.
-  const bool no_payload_dma =
-      wr.inline_data || wr.opcode == Opcode::read ||
-      wr.opcode == Opcode::atomic_fetch_add ||
-      wr.opcode == Opcode::atomic_cmp_swap;
+  // unless the data is inline or the opcode (Read) carries none. Consecutive
+  // posts on one QP serialize through the same tx pipeline.
+  const bool no_payload_dma = wr.inline_data || wr.opcode == Opcode::read;
   const Nanos at = std::max(engine_.now(), qp->tx_pipe_busy_until) +
                    config_.doorbell_overhead + touch_qp_cache(qpn) +
                    config_.wqe_fetch_overhead +
@@ -454,38 +429,30 @@ RnicPacketPtr Rnic::next_packet(Qp& qp, std::uint32_t& wire_bytes) {
     arm_qp_timer(qp);
     return pkt;
   }
-  // 2. Read/atomic responses (responder role).
+  // 2. Read responses (responder role).
   if (!qp.responses.empty()) {
     RespJob& job = qp.responses.front();
     auto pkt = std::make_shared<RnicPacket>();
-    pkt->src_qp = qp.num;
+    pkt->type = PktType::read_resp;
     pkt->dst_qp = qp.attr.dest_qp;
     pkt->msg_id = job.msg_id;
-    if (job.atomic) {
-      pkt->type = PktType::atomic_resp;
-      pkt->atomic_result = job.atomic_result;
-      pkt->first = pkt->last = true;
-      qp.responses.pop_front();
+    const std::uint32_t frag =
+        std::min<std::uint32_t>(config_.mtu, job.total - job.off);
+    pkt->msg_len = job.total;
+    pkt->frag_off = job.off;
+    pkt->first = job.off == 0;
+    Mr* mr = find_mr_by_addr(job.addr + job.off, frag);
+    if (mr && mr->real && frag > 0) {
+      pkt->data = Buffer::make(frag);
+      std::memcpy(pkt->data.data(),
+                  mr->storage.data() + (job.addr + job.off - mr->info.addr),
+                  frag);
     } else {
-      pkt->type = PktType::read_resp;
-      const std::uint32_t frag =
-          std::min<std::uint32_t>(config_.mtu, job.total - job.off);
-      pkt->msg_len = job.total;
-      pkt->frag_off = job.off;
-      pkt->first = job.off == 0;
-      Mr* mr = find_mr_by_addr(job.addr + job.off, frag);
-      if (mr && mr->real && frag > 0) {
-        pkt->data = Buffer::make(frag);
-        std::memcpy(pkt->data.data(),
-                    mr->storage.data() + (job.addr + job.off - mr->info.addr),
-                    frag);
-      } else {
-        pkt->data = Buffer::synthetic(frag);
-      }
-      job.off += frag;
-      pkt->last = job.off >= job.total;
-      if (pkt->last) qp.responses.pop_front();
+      pkt->data = Buffer::synthetic(frag);
     }
+    job.off += frag;
+    pkt->last = job.off >= job.total;
+    if (pkt->last) qp.responses.pop_front();
     wire_bytes = wire_size(*pkt);
     return pkt;
   }
@@ -499,8 +466,7 @@ RnicPacketPtr Rnic::segment_next(Qp& qp) {
   PendingWr& p = qp.sq.front();
   const SendWr& wr = p.wr;
   auto pkt = std::make_shared<RnicPacket>();
-  pkt->src_qp = qp.num;
-  pkt->dst_qp = qp.type == QpType::ud ? wr.dest_qp : qp.attr.dest_qp;
+  pkt->dst_qp = qp.attr.dest_qp;
   pkt->msg_id = p.msg_id;
 
   InflightPkt ip;
@@ -539,9 +505,7 @@ RnicPacketPtr Rnic::segment_next(Qp& qp) {
       const std::uint32_t len = wr.local.length;
       const std::uint32_t frag =
           std::min<std::uint32_t>(config_.mtu, len - p.seg_off);
-      pkt->type = qp.type == QpType::ud
-                      ? PktType::ud_send
-                      : (is_send ? PktType::data_send : PktType::data_write);
+      pkt->type = is_send ? PktType::data_send : PktType::data_write;
       pkt->msg_len = len;
       pkt->frag_off = p.seg_off;
       pkt->first = p.seg_off == 0;
@@ -556,21 +520,6 @@ RnicPacketPtr Rnic::segment_next(Qp& qp) {
       }
       fill_data(p.seg_off, frag);
       p.seg_off += frag;
-
-      if (qp.type == QpType::ud) {
-        // Unreliable: complete at transmit time, nothing in flight.
-        pkt->ud_dest = wr.dest_node;
-        if (wr.signaled) {
-          Wc wc;
-          wc.wr_id = wr.wr_id;
-          wc.opcode = WcOpcode::send;
-          wc.byte_len = len;
-          wc.qp_num = qp.num;
-          push_wc(qp.send_cq, wc);
-        }
-        qp.sq.pop_front();
-        return pkt;
-      }
 
       pkt->psn = qp.snd_nxt++;
       ip.pkt = pkt;
@@ -607,30 +556,6 @@ RnicPacketPtr Rnic::segment_next(Qp& qp) {
       arm_qp_timer(qp);
       return pkt;
     }
-    case Opcode::atomic_fetch_add:
-    case Opcode::atomic_cmp_swap: {
-      pkt->type = PktType::atomic_req;
-      pkt->psn = qp.snd_nxt++;
-      pkt->remote_addr = wr.remote_addr;
-      pkt->rkey = wr.rkey;
-      pkt->atomic_is_cas = wr.opcode == Opcode::atomic_cmp_swap;
-      pkt->atomic_compare_add = wr.compare_add;
-      pkt->atomic_swap = wr.swap;
-      pkt->first = pkt->last = true;
-      ip.pkt = pkt;
-      ip.wire_bytes = wire_size(*pkt);
-      qp.inflight.push_back(ip);
-
-      ReadTrack track;
-      track.msg_id = p.msg_id;
-      track.wr = wr;
-      track.deadline = engine_.now() + config_.retransmit_timeout;
-      track.is_atomic = true;
-      qp.reads.push_back(track);
-      qp.sq.pop_front();
-      arm_qp_timer(qp);
-      return pkt;
-    }
   }
   return nullptr;
 }
@@ -644,8 +569,6 @@ std::uint32_t Rnic::wire_size(const RnicPacket& pkt) const {
     case PktType::cnp:
       return config_.ack_bytes;
     case PktType::read_req:
-    case PktType::atomic_req:
-    case PktType::atomic_resp:
       return config_.header_bytes + 16;
     default:
       return config_.header_bytes + static_cast<std::uint32_t>(pkt.data.size());
@@ -659,7 +582,7 @@ void Rnic::transmit(Qp& qp, RnicPacketPtr pkt, std::uint32_t wire_bytes) {
 
   net::Packet np;
   np.src = node();
-  np.dst = pkt->type == PktType::ud_send ? pkt->ud_dest : qp.attr.dest_node;
+  np.dst = qp.attr.dest_node;
   np.wire_bytes = wire_bytes;
   np.tclass = kLossless;
   np.flow = (static_cast<std::uint64_t>(node()) << 40) ^
@@ -674,7 +597,6 @@ void Rnic::send_control(Qp& qp, PktType type, std::uint64_t ack_psn) {
   if (!alive_) return;
   auto pkt = std::make_shared<RnicPacket>();
   pkt->type = type;
-  pkt->src_qp = qp.num;
   pkt->dst_qp = qp.attr.dest_qp;
   pkt->ack_psn = ack_psn;
 
@@ -701,17 +623,14 @@ void Rnic::on_packet(net::Packet&& netpkt) {
   if (!alive_) return;  // crashed host: silence
   auto pkt = std::static_pointer_cast<const RnicPacket>(netpkt.payload);
   const bool ce = netpkt.ecn_ce;
-  const net::NodeId src = netpkt.src;
   ++stats_.rx_packets;
   stats_.rx_bytes += netpkt.wire_bytes;
   if (ce) ++stats_.ecn_marked_rx;
-  // Reads/atomics are executed autonomously by the responder NIC, and
-  // acks/CNPs never touch the host path: both take the shorter pipeline
-  // service time.
+  // Reads are executed autonomously by the responder NIC, and acks/CNPs
+  // never touch the host path: both take the shorter pipeline service time.
   Nanos cost = config_.rx_overhead;
   switch (pkt->type) {
     case PktType::read_req:
-    case PktType::atomic_req:
     case PktType::ack:
     case PktType::nak_seq:
     case PktType::nak_rnr:
@@ -722,14 +641,13 @@ void Rnic::on_packet(net::Packet&& netpkt) {
     default:
       break;
   }
-  engine_.schedule_after(cost, [this, pkt, ce, src] {
+  engine_.schedule_after(cost, [this, pkt, ce] {
     if (!alive_) return;
-    handle_packet(src, *pkt, ce);
+    handle_packet(*pkt, ce);
   });
 }
 
-void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
-                         bool ecn_ce) {
+void Rnic::handle_packet(const RnicPacket& pkt, bool ecn_ce) {
   Qp* qp = find_qp(pkt.dst_qp);
   if (!qp) return;
   if (qp->state != QpState::rtr && qp->state != QpState::rts) return;
@@ -749,38 +667,15 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
       requester_ack(*qp, pkt);
       return;
     case PktType::read_resp:
-    case PktType::atomic_resp:
       // Read responses are bulk data: congestion marks on them must feed
       // DCQCN at the responder just like marks on requester data.
-      if (ecn_ce) maybe_cnp(*qp, src_node);
+      if (ecn_ce) maybe_cnp(*qp);
       handle_read_resp(*qp, pkt);
       return;
-    case PktType::ud_send: {
-      RecvWr rqe;
-      bool from_srq = false;
-      if (!consume_rqe(*qp, rqe, from_srq)) return;  // UD: silent drop
-      if (pkt.data.size() > rqe.sge.length) return;
-      if (std::uint8_t* dst = mr_ptr(rqe.sge.addr, pkt.data.size());
-          dst && pkt.data.data()) {
-        std::memcpy(dst, pkt.data.data(), pkt.data.size());
-      }
-      Wc wc;
-      wc.wr_id = rqe.wr_id;
-      wc.opcode = WcOpcode::recv;
-      wc.byte_len = static_cast<std::uint32_t>(pkt.data.size());
-      wc.imm = pkt.imm;
-      wc.has_imm = pkt.has_imm;
-      wc.qp_num = qp->num;
-      wc.src_qp = pkt.src_qp;
-      wc.src_node = src_node;
-      push_wc(qp->recv_cq, wc);
-      return;
-    }
     case PktType::data_send:
     case PktType::data_write:
-    case PktType::read_req:
-    case PktType::atomic_req: {
-      if (ecn_ce) maybe_cnp(*qp, src_node);
+    case PktType::read_req: {
+      if (ecn_ce) maybe_cnp(*qp);
       // RC sequencing.
       if (pkt.psn < qp->exp_psn) {
         // Duplicate of something already processed: re-ack to unstick peer.
@@ -795,7 +690,7 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
         }
         return;
       }
-      responder_data(*qp, src_node, pkt);
+      responder_data(*qp, pkt);
       return;
     }
   }
@@ -817,9 +712,7 @@ bool Rnic::consume_rqe(Qp& qp, RecvWr& out, bool& from_srq) {
   return true;
 }
 
-void Rnic::responder_data(Qp& qp, net::NodeId src_node,
-                          const RnicPacket& pkt) {
-  (void)src_node;
+void Rnic::responder_data(Qp& qp, const RnicPacket& pkt) {
   qp.nak_sent_for_gap = false;
   bool msg_tail = false;
 
@@ -870,8 +763,6 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
         wc.imm = pkt.imm;
         wc.has_imm = pkt.has_imm;
         wc.qp_num = qp.num;
-        wc.src_qp = pkt.src_qp;
-        wc.src_node = src_node;
         push_wc(qp.recv_cq, wc);
         qp.assembly.active = false;
       }
@@ -910,8 +801,6 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
         wc.imm = pkt.imm;
         wc.has_imm = true;
         wc.qp_num = qp.num;
-        wc.src_qp = pkt.src_qp;
-        wc.src_node = src_node;
         push_wc(qp.recv_cq, wc);
       } else {
         qp.exp_psn = pkt.psn + 1;
@@ -939,44 +828,13 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
       mark_ready(qp);
       break;
     }
-    case PktType::atomic_req: {
-      touch_qp_cache(qp.num);
-      Mr* mr = find_mr_by_rkey(pkt.rkey);
-      if (!mr || pkt.remote_addr < mr->info.addr ||
-          pkt.remote_addr + 8 > mr->info.addr + mr->info.size) {
-        send_control(qp, PktType::nak_remote_access, pkt.psn);
-        qp_to_error(qp, Errc::remote_access_error);
-        return;
-      }
-      qp.exp_psn = pkt.psn + 1;
-      msg_tail = true;
-      std::uint64_t original = 0;
-      if (mr->real) {
-        std::uint8_t* p = mr->storage.data() + (pkt.remote_addr - mr->info.addr);
-        std::memcpy(&original, p, 8);
-        std::uint64_t updated = original;
-        if (pkt.atomic_is_cas) {
-          if (original == pkt.atomic_compare_add) updated = pkt.atomic_swap;
-        } else {
-          updated = original + pkt.atomic_compare_add;
-        }
-        std::memcpy(p, &updated, 8);
-      }
-      RespJob job;
-      job.msg_id = pkt.msg_id;
-      job.atomic = true;
-      job.atomic_result = original;
-      qp.responses.push_back(job);
-      mark_ready(qp);
-      break;
-    }
     default:
       return;
   }
-  maybe_ack(qp, src_node, msg_tail);
+  maybe_ack(qp, msg_tail);
 }
 
-void Rnic::maybe_ack(Qp& qp, net::NodeId /*src_node*/, bool msg_tail) {
+void Rnic::maybe_ack(Qp& qp, bool msg_tail) {
   ++qp.unacked_pkts;
   if (msg_tail || qp.unacked_pkts >= config_.ack_coalesce) {
     qp.unacked_pkts = 0;
@@ -984,7 +842,7 @@ void Rnic::maybe_ack(Qp& qp, net::NodeId /*src_node*/, bool msg_tail) {
   }
 }
 
-void Rnic::maybe_cnp(Qp& qp, net::NodeId /*src_node*/) {
+void Rnic::maybe_cnp(Qp& qp) {
   const Nanos now = engine_.now();
   if (now - qp.last_cnp_sent < config_.dcqcn.cnp_min_interval) return;
   qp.last_cnp_sent = now;
@@ -1053,23 +911,6 @@ void Rnic::handle_read_resp(Qp& qp, const RnicPacket& pkt) {
   if (it == qp.reads.end()) return;  // stale response after completion
   ReadTrack& track = *it;
 
-  if (pkt.type == PktType::atomic_resp) {
-    if (track.wr.signaled) {
-      Wc wc;
-      wc.wr_id = track.wr.wr_id;
-      wc.opcode = WcOpcode::atomic;
-      wc.byte_len = 8;
-      wc.qp_num = qp.num;
-      wc.atomic_result = pkt.atomic_result;
-      push_wc(qp.send_cq, wc);
-    }
-    if (std::uint8_t* dst = mr_ptr(track.wr.local.addr, 8)) {
-      std::memcpy(dst, &pkt.atomic_result, 8);
-    }
-    qp.reads.erase(it);
-    return;
-  }
-
   // Read response fragment: accept only the next expected offset so
   // duplicate streams after a reissue are ignored.
   if (pkt.frag_off != track.next_off) return;
@@ -1133,7 +974,7 @@ void Rnic::qp_timer_fired(QpNum qpn) {
     outstanding = true;
   }
 
-  // Overdue reads / atomics: reissue the request with a fresh PSN.
+  // Overdue reads: reissue the request with a fresh PSN.
   for (auto& track : qp->reads) {
     outstanding = true;
     if (now < track.deadline) continue;
@@ -1144,17 +985,13 @@ void Rnic::qp_timer_fired(QpNum qpn) {
     }
     ++stats_.timeouts;
     auto pkt = std::make_shared<RnicPacket>();
-    pkt->type = track.is_atomic ? PktType::atomic_req : PktType::read_req;
-    pkt->src_qp = qp->num;
+    pkt->type = PktType::read_req;
     pkt->dst_qp = qp->attr.dest_qp;
     pkt->psn = qp->snd_nxt++;
     pkt->msg_id = track.msg_id;
     pkt->remote_addr = track.wr.remote_addr;
     pkt->rkey = track.wr.rkey;
     pkt->read_len = track.wr.local.length;
-    pkt->atomic_is_cas = track.wr.opcode == Opcode::atomic_cmp_swap;
-    pkt->atomic_compare_add = track.wr.compare_add;
-    pkt->atomic_swap = track.wr.swap;
     pkt->first = pkt->last = true;
     InflightPkt ip;
     ip.pkt = pkt;
@@ -1212,9 +1049,7 @@ void Rnic::flush_queues(Qp& qp, Errc head_reason) {
   }
   qp.inflight.clear();
   for (auto& track : qp.reads) {
-    flush_send(track.wr.wr_id,
-               track.is_atomic ? WcOpcode::atomic : WcOpcode::read,
-               track.wr.signaled);
+    flush_send(track.wr.wr_id, WcOpcode::read, track.wr.signaled);
   }
   qp.reads.clear();
   for (auto& p : qp.sq) {

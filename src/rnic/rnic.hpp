@@ -2,7 +2,7 @@
 //
 // One instance per host; owns the QP/CQ/MR/SRQ tables and implements the RC
 // protocol (PSN sequencing, cumulative acks, go-back-N retransmission, RNR
-// NAKs with bounded retries), UD datagrams, one-sided Write/Read/Atomics,
+// NAKs with bounded retries), two-sided Send and one-sided Write/Read,
 // per-QP DCQCN pacing, a QP-context SRAM cache model, and a transmit
 // scheduler that round-robins ready QPs onto the host link.
 //
@@ -72,7 +72,9 @@ class Rnic {
   std::size_t srq_outstanding(SrqId srq) const;
 
   // --- Queue pairs --------------------------------------------------------
-  QpNum create_qp(QpType type, CqId send_cq, CqId recv_cq, QpCaps caps,
+  /// Every QP is reliable-connected (RC): the middleware posts only Send,
+  /// Send-with-imm, Write and Read.
+  QpNum create_qp(CqId send_cq, CqId recv_cq, QpCaps caps,
                   SrqId srq = kInvalidId);
   void destroy_qp(QpNum qpn);
   Errc modify_qp(QpNum qpn, const QpAttr& attr);
@@ -84,7 +86,6 @@ class Rnic {
   /// A WR that fails validation, or a full send queue, enqueues nothing.
   Errc post_send(QpNum qpn, const SendWr& wr);
   Errc post_recv(QpNum qpn, const RecvWr& wr);
-  std::size_t send_queue_depth(QpNum qpn) const;
 
   /// Async error notification (QP transitioned to error), the analogue of
   /// the ibverbs async event channel. Keepalive relies on this. Several
@@ -112,7 +113,6 @@ class Rnic {
     std::uint32_t depth = 0;
     std::deque<Wc> wcs;
     std::function<void()> on_event;
-    std::size_t high_water = 0;
   };
 
   struct Srq {
@@ -132,7 +132,7 @@ class Rnic {
     RnicPacketPtr pkt;
     std::uint32_t wire_bytes = 0;
     // Completion to raise when this packet is cumulatively acked (tail of a
-    // send/write message or a read/atomic request placeholder).
+    // send/write message).
     bool completes_wr = false;
     std::uint64_t wr_id = 0;
     WcOpcode wc_op = WcOpcode::send;
@@ -148,7 +148,6 @@ class Rnic {
     std::uint32_t next_off = 0;
     Nanos deadline = 0;
     std::uint8_t retries = 0;
-    bool is_atomic = false;
   };
 
   struct RecvAssembly {
@@ -158,21 +157,18 @@ class Rnic {
     bool from_srq = false;
   };
 
-  /// Responder-side read/atomic response generation, materialized one
-  /// fragment at a time through the tx scheduler so huge reads don't buffer
-  /// the whole response.
+  /// Responder-side read response generation, materialized one fragment at
+  /// a time through the tx scheduler so huge reads don't buffer the whole
+  /// response.
   struct RespJob {
     std::uint64_t msg_id = 0;
     std::uint64_t addr = 0;
     std::uint32_t total = 0;
     std::uint32_t off = 0;
-    bool atomic = false;
-    std::uint64_t atomic_result = 0;
   };
 
   struct Qp {
     QpNum num = kInvalidId;
-    QpType type = QpType::rc;
     QpState state = QpState::reset;
     CqId send_cq = kInvalidId;
     CqId recv_cq = kInvalidId;
@@ -190,7 +186,6 @@ class Rnic {
     std::uint8_t retry_used = 0;
     Nanos gated_until = 0;  // RNR backoff gate
     std::vector<ReadTrack> reads;
-    std::uint64_t last_acked_psn_seen = 0;
 
     // Responder state.
     std::uint64_t exp_psn = 0;
@@ -245,12 +240,12 @@ class Rnic {
   Nanos touch_qp_cache(QpNum qpn);
 
   // RX path.
-  void handle_packet(net::NodeId src_node, const RnicPacket& pkt, bool ecn_ce);
-  void responder_data(Qp& qp, net::NodeId src_node, const RnicPacket& pkt);
+  void handle_packet(const RnicPacket& pkt, bool ecn_ce);
+  void responder_data(Qp& qp, const RnicPacket& pkt);
   void requester_ack(Qp& qp, const RnicPacket& pkt);
   void handle_read_resp(Qp& qp, const RnicPacket& pkt);
-  void maybe_ack(Qp& qp, net::NodeId src_node, bool msg_tail);
-  void maybe_cnp(Qp& qp, net::NodeId src_node);
+  void maybe_ack(Qp& qp, bool msg_tail);
+  void maybe_cnp(Qp& qp);
   bool consume_rqe(Qp& qp, RecvWr& out, bool& from_srq);
 
   // Retransmission timer.

@@ -20,8 +20,6 @@ using CqId = std::uint32_t;
 using SrqId = std::uint32_t;
 constexpr std::uint32_t kInvalidId = 0;
 
-enum class QpType : std::uint8_t { rc, ud };
-
 enum class QpState : std::uint8_t { reset, init, rtr, rts, error };
 
 enum class Opcode : std::uint8_t {
@@ -30,15 +28,12 @@ enum class Opcode : std::uint8_t {
   write,
   write_imm,
   read,
-  atomic_fetch_add,
-  atomic_cmp_swap,
 };
 
 enum class WcOpcode : std::uint8_t {
   send,
   write,
   read,
-  atomic,
   recv,       // two-sided receive
   recv_imm,   // receive consumed by a WRITE_WITH_IMM
 };
@@ -60,12 +55,6 @@ struct SendWr {
   // Immediate data (send_imm / write_imm).
   std::uint32_t imm = 0;
   bool signaled = true;
-  // Atomics.
-  std::uint64_t compare_add = 0;
-  std::uint64_t swap = 0;
-  // UD only: datagram destination.
-  net::NodeId dest_node = net::kInvalidNode;
-  QpNum dest_qp = kInvalidId;
   // IBV_SEND_INLINE: the payload rides in the WQE itself. `local.addr` /
   // `local.lkey` are ignored (no MR needed); `local.length` still gives
   // the size and must stay within RnicConfig::max_inline_data. The bytes
@@ -88,9 +77,6 @@ struct Wc {
   std::uint32_t imm = 0;
   bool has_imm = false;
   QpNum qp_num = kInvalidId;
-  QpNum src_qp = kInvalidId;        // UD: sender's QP
-  net::NodeId src_node = net::kInvalidNode;
-  std::uint64_t atomic_result = 0;  // original value for atomics
 };
 
 struct MrInfo {

@@ -16,19 +16,15 @@ enum class PktType : std::uint8_t {
   data_write,   // fragment of a WRITE / WRITE_WITH_IMM message
   read_req,
   read_resp,    // fragment of a read response
-  atomic_req,
-  atomic_resp,
   ack,          // cumulative ack up to (excluding) ack_psn
   nak_seq,      // out-of-sequence: retransmit from ack_psn
   nak_rnr,      // receiver not ready: back off, retransmit from ack_psn
   nak_remote_access,  // rkey / bounds violation at responder
   cnp,          // DCQCN congestion notification
-  ud_send,      // unreliable datagram, single packet
 };
 
 struct RnicPacket : net::PayloadBase {
   PktType type = PktType::data_send;
-  QpNum src_qp = kInvalidId;
   QpNum dst_qp = kInvalidId;
 
   std::uint64_t psn = 0;     // requester->responder sequencing
@@ -48,14 +44,7 @@ struct RnicPacket : net::PayloadBase {
 
   Buffer data;  // fragment payload (real or synthetic)
 
-  bool atomic_is_cas = false;
-  std::uint64_t atomic_compare_add = 0;
-  std::uint64_t atomic_swap = 0;
-  std::uint64_t atomic_result = 0;  // atomic_resp
-
   std::uint64_t ack_psn = 0;  // ack / nak_*: next PSN expected by responder
-
-  net::NodeId ud_dest = net::kInvalidNode;  // ud_send: datagram destination
 };
 
 using RnicPacketPtr = std::shared_ptr<RnicPacket>;

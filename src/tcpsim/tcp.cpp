@@ -30,10 +30,6 @@ TcpConn* TcpStack::make_conn(std::uint16_t local_port, net::NodeId peer,
   return raw;
 }
 
-void TcpStack::drop_conn(TcpConn* conn) {
-  conns_.erase({conn->local_port_, conn->peer_node_, conn->peer_port_});
-}
-
 void TcpStack::connect(net::NodeId dst, std::uint16_t port,
                        std::function<void(Result<TcpConn*>)> cb) {
   const std::uint16_t local_port = next_ephemeral_++;

@@ -66,7 +66,6 @@ class TcpConn {
 
   void close();
 
-  std::uint64_t bytes_sent() const { return snd_nxt_; }
   std::uint64_t bytes_delivered() const { return rcv_nxt_; }
 
  private:
@@ -145,7 +144,6 @@ class TcpStack {
   void send_segment(TcpConn& conn, std::shared_ptr<TcpSegment> seg);
   TcpConn* make_conn(std::uint16_t local_port, net::NodeId peer,
                      std::uint16_t peer_port);
-  void drop_conn(TcpConn* conn);
 
   sim::Engine& engine_;
   net::Endpoint& endpoint_;

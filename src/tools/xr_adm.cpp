@@ -20,21 +20,6 @@ void XrAdm::set_all(const std::string& name, std::int64_t value,
   });
 }
 
-void XrAdm::drain_node(net::NodeId node, std::function<void(AdmResult)> done) {
-  engine_.schedule_after(delay_, [this, node, done = std::move(done)] {
-    AdmResult result;
-    for (core::Context* ctx : fleet_) {
-      if (ctx->node() != node) continue;
-      if (ctx->set_flag("lifecycle_drain", 1) == Errc::ok) {
-        ++result.applied;
-      } else {
-        ++result.rejected;
-      }
-    }
-    if (done) done(result);
-  });
-}
-
 void XrAdm::dump_all(const std::string& prefix,
                      std::function<void(std::vector<std::string>)> done) {
   engine_.schedule_after(delay_, [this, prefix, done = std::move(done)] {

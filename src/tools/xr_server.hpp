@@ -90,7 +90,6 @@ class StatsReporter {
 
   void start();
   void stop();
-  std::uint64_t reports_sent() const { return seq_; }
 
  private:
   NodeReport sample();

@@ -61,7 +61,7 @@ void CmService::connect(rnic::Rnic& nic, net::NodeId dst, std::uint16_t port,
         return;
       }
     } else {
-      client_qpn = nic.create_qp(QpType::rc, shared->send_cq, shared->recv_cq,
+      client_qpn = nic.create_qp(shared->send_cq, shared->recv_cq,
                                  shared->caps, shared->srq);
     }
     QpAttr init;
@@ -143,8 +143,8 @@ void CmService::connect(rnic::Rnic& nic, net::NodeId dst, std::uint16_t port,
               }
             }
             if (server_qpn == rnic::kInvalidId) {
-              server_qpn = snic.create_qp(QpType::rc, spec.send_cq,
-                                          spec.recv_cq, spec.caps, spec.srq);
+              server_qpn = snic.create_qp(spec.send_cq, spec.recv_cq,
+                                          spec.caps, spec.srq);
             }
             QpAttr attr;
             attr.state = QpState::init;

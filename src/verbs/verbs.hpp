@@ -21,7 +21,6 @@ using rnic::QpAttr;
 using rnic::QpCaps;
 using rnic::QpNum;
 using rnic::QpState;
-using rnic::QpType;
 using rnic::RecvWr;
 using rnic::SendWr;
 using rnic::Sge;
@@ -164,12 +163,10 @@ class Pd {
     return Mr(nic_, nic_->reg_mr(size, real_memory));
   }
   Cq create_cq(std::uint32_t depth) { return Cq(nic_, nic_->create_cq(depth)); }
-  Qp create_qp(QpType type, Cq& send_cq, Cq& recv_cq, QpCaps caps = {},
+  Qp create_qp(Cq& send_cq, Cq& recv_cq, QpCaps caps = {},
                SrqId srq = rnic::kInvalidId) {
-    return Qp(nic_, nic_->create_qp(type, send_cq.id(), recv_cq.id(), caps, srq));
+    return Qp(nic_, nic_->create_qp(send_cq.id(), recv_cq.id(), caps, srq));
   }
-  /// Re-adopt a QP number released to a cache earlier.
-  Qp adopt_qp(QpNum num) { return Qp(nic_, num); }
 
  private:
   rnic::Rnic* nic_;

@@ -97,23 +97,6 @@ TEST(Schedule, WithoutItemsDropsOpsAndFaults) {
   EXPECT_EQ(cut.items(), s.items() - 2);
 }
 
-TEST(Schedule, FaultRuleTextRoundTrips) {
-  analysis::FaultRule r;
-  r.kind = analysis::FaultKind::egress_delay;
-  r.probability = 0.25;
-  r.channel_id = 42;
-  r.budget = 3;
-  r.delay = micros(150);
-  const auto back = analysis::parse_rule(analysis::format_rule(r));
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->kind, r.kind);
-  EXPECT_DOUBLE_EQ(back->probability, r.probability);
-  EXPECT_EQ(back->channel_id, r.channel_id);
-  EXPECT_EQ(back->budget, r.budget);
-  EXPECT_EQ(back->delay, r.delay);
-  EXPECT_FALSE(analysis::parse_rule("warble 1.0 0 1 0").has_value());
-}
-
 // ---------------------------------------------------------------------------
 // The determinism contract: same seed -> bit-identical run, same process.
 

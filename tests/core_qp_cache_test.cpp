@@ -20,8 +20,7 @@ struct NicFixture {
   NicFixture() : cluster(testbed::ClusterConfig{}), nic(cluster.rnic(0)), cq(nic.create_cq(64)) {}
 
   rnic::QpNum make_rts_qp() {
-    const rnic::QpNum qpn =
-        nic.create_qp(rnic::QpType::rc, cq, cq, {}, rnic::kInvalidId);
+    const rnic::QpNum qpn = nic.create_qp(cq, cq, {}, rnic::kInvalidId);
     rnic::QpAttr attr;
     attr.state = rnic::QpState::init;
     EXPECT_EQ(nic.modify_qp(qpn, attr), Errc::ok);

@@ -1,7 +1,6 @@
-// RC/UD protocol behaviour of the RNIC model through the verbs facade:
+// RC protocol behaviour of the RNIC model through the verbs facade:
 // two-sided and one-sided ops, reassembly, RNR semantics, retransmission,
-// peer death, SRQ sharing, atomics, completion ordering, and the QP context
-// cache.
+// peer death, SRQ sharing, completion ordering, and the QP context cache.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -32,8 +31,8 @@ struct RcPair {
         rcq0(pd0.create_cq(1024)),
         scq1(pd1.create_cq(1024)),
         rcq1(pd1.create_cq(1024)),
-        qp0(pd0.create_qp(QpType::rc, scq0, rcq0, caps)),
-        qp1(pd1.create_qp(QpType::rc, scq1, rcq1, caps)) {
+        qp0(pd0.create_qp(scq0, rcq0, caps)),
+        qp1(pd1.create_qp(scq1, rcq1, caps)) {
     wire(qp0, 1, qp1.num(), rnr_retry);
     wire(qp1, 0, qp0.num(), rnr_retry);
   }
@@ -206,62 +205,6 @@ TEST(RcVerbs, ZeroByteWriteCompletes) {
   EXPECT_EQ(swc[0].status, Errc::ok);
 }
 
-TEST(RcVerbs, AtomicFetchAddReturnsOriginalAndUpdates) {
-  RcPair t;
-  Mr local = t.pd0.reg_mr(8);
-  Mr remote = t.pd1.reg_mr(8);
-  std::uint64_t init = 100;
-  std::memcpy(remote.data(), &init, 8);
-  t.qp0.post_send({.wr_id = 1,
-                   .opcode = Opcode::atomic_fetch_add,
-                   .local = {local.addr(), 8, local.lkey()},
-                   .remote_addr = remote.addr(),
-                   .rkey = remote.rkey(),
-                   .compare_add = 42});
-  t.cluster.run();
-  std::vector<Wc> swc;
-  RcPair::drain(t.scq0, swc);
-  ASSERT_EQ(swc.size(), 1u);
-  EXPECT_EQ(swc[0].atomic_result, 100u);
-  std::uint64_t updated = 0;
-  std::memcpy(&updated, remote.data(), 8);
-  EXPECT_EQ(updated, 142u);
-  std::uint64_t fetched = 0;
-  std::memcpy(&fetched, local.data(), 8);
-  EXPECT_EQ(fetched, 100u);
-}
-
-TEST(RcVerbs, AtomicCompareSwapOnlySwapsOnMatch) {
-  RcPair t;
-  Mr local = t.pd0.reg_mr(8);
-  Mr remote = t.pd1.reg_mr(8);
-  std::uint64_t init = 5;
-  std::memcpy(remote.data(), &init, 8);
-  // Mismatched compare: no swap.
-  t.qp0.post_send({.wr_id = 1,
-                   .opcode = Opcode::atomic_cmp_swap,
-                   .local = {local.addr(), 8, local.lkey()},
-                   .remote_addr = remote.addr(),
-                   .rkey = remote.rkey(),
-                   .compare_add = 999,
-                   .swap = 7});
-  t.cluster.run();
-  std::uint64_t v = 0;
-  std::memcpy(&v, remote.data(), 8);
-  EXPECT_EQ(v, 5u);
-  // Matching compare: swaps.
-  t.qp0.post_send({.wr_id = 2,
-                   .opcode = Opcode::atomic_cmp_swap,
-                   .local = {local.addr(), 8, local.lkey()},
-                   .remote_addr = remote.addr(),
-                   .rkey = remote.rkey(),
-                   .compare_add = 5,
-                   .swap = 7});
-  t.cluster.run();
-  std::memcpy(&v, remote.data(), 8);
-  EXPECT_EQ(v, 7u);
-}
-
 TEST(RcVerbs, RnrNakRetriesUntilReceiverPostsBuffer) {
   RcPair t(QpCaps{}, rnic::RnicConfig{}, /*rnr_retry=*/7);  // infinite
   Mr smr = t.pd0.reg_mr(64);
@@ -346,7 +289,7 @@ TEST(RcVerbs, PostSendRequiresRts) {
   RcPair t;
   Pd pd(t.cluster.rnic(0));
   Cq cq = pd.create_cq(16);
-  Qp qp = pd.create_qp(QpType::rc, cq, cq);
+  Qp qp = pd.create_qp(cq, cq);
   EXPECT_EQ(qp.post_send({.wr_id = 1, .opcode = Opcode::write, .local = {}}),
             Errc::invalid_argument);
 }
@@ -473,69 +416,6 @@ TEST(RcVerbs, LargeWriteApproachesLineRate) {
   EXPECT_LT(gbps, 25.0);
 }
 
-TEST(UdVerbs, DatagramDeliversWithSourceInfo) {
-  RcPair base;  // reuse the cluster; build UD QPs on it
-  auto& c = base.cluster;
-  Pd pd0(c.rnic(0)), pd1(c.rnic(1));
-  Cq cq0 = pd0.create_cq(16), cq1 = pd1.create_cq(16);
-  Qp ud0 = pd0.create_qp(QpType::ud, cq0, cq0);
-  Qp ud1 = pd1.create_qp(QpType::ud, cq1, cq1);
-  QpAttr attr;
-  attr.state = QpState::init;
-  ud0.modify(attr);
-  ud1.modify(attr);
-  attr.state = QpState::rtr;
-  ud0.modify(attr);
-  ud1.modify(attr);
-  attr.state = QpState::rts;
-  ud0.modify(attr);
-  ud1.modify(attr);
-
-  Mr smr = pd0.reg_mr(256);
-  Mr rmr = pd1.reg_mr(256);
-  std::memcpy(smr.data(), "dgram", 5);
-  ud1.post_recv({.wr_id = 1, .sge = {rmr.addr(), 256, rmr.lkey()}});
-  ud0.post_send({.wr_id = 2,
-                 .opcode = Opcode::send,
-                 .local = {smr.addr(), 5, smr.lkey()},
-                 .dest_node = 1,
-                 .dest_qp = ud1.num()});
-  c.run();
-  Wc wc[4];
-  // Receiver side: exactly the recv completion.
-  ASSERT_EQ(cq1.poll(wc, 4), 1);
-  EXPECT_EQ(wc[0].opcode, WcOpcode::recv);
-  EXPECT_EQ(wc[0].src_qp, ud0.num());
-  EXPECT_EQ(wc[0].src_node, 0u);
-  EXPECT_EQ(wc[0].byte_len, 5u);
-  EXPECT_EQ(std::memcmp(rmr.data(), "dgram", 5), 0);
-  // Sender side: the send completion.
-  ASSERT_EQ(cq0.poll(wc, 4), 1);
-  EXPECT_EQ(wc[0].opcode, WcOpcode::send);
-}
-
-TEST(UdVerbs, OversizedDatagramRejected) {
-  RcPair base;
-  auto& c = base.cluster;
-  Pd pd0(c.rnic(0));
-  Cq cq0 = pd0.create_cq(16);
-  Qp ud0 = pd0.create_qp(QpType::ud, cq0, cq0);
-  QpAttr attr;
-  attr.state = QpState::init;
-  ud0.modify(attr);
-  attr.state = QpState::rtr;
-  ud0.modify(attr);
-  attr.state = QpState::rts;
-  ud0.modify(attr);
-  Mr smr = pd0.reg_mr(64 * 1024);
-  EXPECT_EQ(ud0.post_send({.wr_id = 1,
-                           .opcode = Opcode::send,
-                           .local = {smr.addr(), 8192, smr.lkey()},
-                           .dest_node = 1,
-                           .dest_qp = 1}),
-            Errc::payload_too_large);
-}
-
 TEST(Srq, SharedAcrossQps) {
   RcPair t;  // gives us hosts; build a second client QP to the same server
   auto& c = t.cluster;
@@ -543,12 +423,12 @@ TEST(Srq, SharedAcrossQps) {
   const SrqId srq = c.rnic(1).create_srq(64);
   Pd pd1(c.rnic(1));
   Cq scq = pd1.create_cq(64), rcq = pd1.create_cq(64);
-  Qp sqp_a = pd1.create_qp(QpType::rc, scq, rcq, {}, srq);
-  Qp sqp_b = pd1.create_qp(QpType::rc, scq, rcq, {}, srq);
+  Qp sqp_a = pd1.create_qp(scq, rcq, {}, srq);
+  Qp sqp_b = pd1.create_qp(scq, rcq, {}, srq);
   Pd pd0(c.rnic(0));
   Cq ccq = pd0.create_cq(64);
-  Qp cqp_a = pd0.create_qp(QpType::rc, ccq, ccq);
-  Qp cqp_b = pd0.create_qp(QpType::rc, ccq, ccq);
+  Qp cqp_a = pd0.create_qp(ccq, ccq);
+  Qp cqp_b = pd0.create_qp(ccq, ccq);
   RcPair::wire(cqp_a, 1, sqp_a.num(), 7);
   RcPair::wire(cqp_b, 1, sqp_b.num(), 7);
   RcPair::wire(sqp_a, 0, cqp_a.num(), 7);

@@ -107,8 +107,7 @@ TEST_F(CmFixture, ReusedQpSkipsCreation) {
       cluster.cm(), server_nic, 80, [this] { return spec(); },
       [](const Buffer&) { return Buffer{}; }, [](Established) {});
   // Pre-create a QP in RESET, as the QP cache would hold it.
-  const rnic::QpNum cached =
-      client_nic.create_qp(QpType::rc, ccq, ccq, {});
+  const rnic::QpNum cached = client_nic.create_qp(ccq, ccq, {});
   ConnectOptions o = opts();
   o.reuse_qp = cached;
   Nanos took = -1;
@@ -128,7 +127,7 @@ TEST_F(CmFixture, ReusingNonResetQpFails) {
   Listener listener(
       cluster.cm(), server_nic, 80, [this] { return spec(); },
       [](const Buffer&) { return Buffer{}; }, [](Established) {});
-  const rnic::QpNum qpn = client_nic.create_qp(QpType::rc, ccq, ccq, {});
+  const rnic::QpNum qpn = client_nic.create_qp(ccq, ccq, {});
   rnic::QpAttr attr;
   attr.state = QpState::init;
   client_nic.modify_qp(qpn, attr);  // not RESET any more
@@ -155,7 +154,7 @@ TEST_F(CmFixture, ListenerDestructionStopsAccepting) {
 }
 
 TEST_F(CmFixture, ServerQpSupplierUsedWhenValid) {
-  const rnic::QpNum cached = server_nic.create_qp(QpType::rc, scq, scq, {});
+  const rnic::QpNum cached = server_nic.create_qp(scq, scq, {});
   Established server_side;
   Listener listener(
       cluster.cm(), server_nic, 80, [this] { return spec(); },
