@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
 // event engine, deadline-timer re-arm and idle busy polling, CRC32C, the
-// seq-ack window, the memory-cache allocator, histogram recording, and wire
+// seq-ack window, the memory-cache allocator and a channel's bounce ring,
+// the DCQCN catch-up of a recycled QP, histogram recording, and wire
 // header encode/decode. These bound the simulator's own throughput
 // (events/sec) and the middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "core/msg.hpp"
 #include "core/context.hpp"
 #include "core/window.hpp"
+#include "rnic/dcqcn.hpp"
 #include "sim/engine.hpp"
 #include "sim/timer.hpp"
 #include "testbed/cluster.hpp"
@@ -162,6 +164,39 @@ void BM_MemCacheAllocFree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemCacheAllocFree)->Arg(0)->Arg(1);
+
+void BM_MemCacheRing(benchmark::State& state) {
+  // One channel's bounce ring with isolation on: connect allocates every
+  // slot from the control cache, close frees them in the same order.
+  const core::Config defaults;
+  const std::uint32_t slots = 2 * defaults.window_depth + 8;
+  const std::uint32_t size = core::WireHeader::kBareSize +
+                             core::WireHeader::kTraceSize +
+                             defaults.small_msg_size;
+  testbed::Cluster cluster;
+  core::MemCache cache(cluster.rnic(0), {.isolation = true});
+  std::vector<core::MemBlock> ring(slots);
+  for (auto _ : state) {
+    for (auto& b : ring) b = cache.alloc(size, /*privileged=*/true);
+    for (const auto& b : ring) cache.free(b);
+  }
+  state.SetItemsProcessed(state.iterations() * slots);
+}
+BENCHMARK(BM_MemCacheRing);
+
+void BM_DcqcnAdvanceAfterIdle(benchmark::State& state) {
+  // A recycled QP's first pump: QP reset rebuilds the controller with its
+  // clocks at 0, then the NIC advances it to the current sim time.
+  const Nanos now = seconds(state.range(0));
+  const rnic::DcqcnConfig cfg;
+  for (auto _ : state) {
+    rnic::Dcqcn d(cfg, 25.0);
+    benchmark::DoNotOptimize(d);
+    d.advance(now);
+    benchmark::DoNotOptimize(d);
+  }
+}
+BENCHMARK(BM_DcqcnAdvanceAfterIdle)->Arg(1)->Arg(60);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;

@@ -1,5 +1,6 @@
 #include "core/memcache.hpp"
 
+#include <array>
 #include <cstring>
 
 namespace xrdma::core {
@@ -60,8 +61,15 @@ MemBlock MemCache::alloc(std::uint32_t len, bool privileged) {
       if (it->second < need) continue;
       const std::uint64_t offset = it->first;
       const std::uint64_t remaining = it->second - need;
-      region.free_ranges.erase(it);
-      if (remaining > 0) region.free_ranges[offset + need] = remaining;
+      if (remaining > 0) {
+        // The tail keeps its place in key order: re-key the node in place.
+        auto node = region.free_ranges.extract(it++);
+        node.key() = offset + need;
+        node.mapped() = remaining;
+        region.free_ranges.insert(it, std::move(node));
+      } else {
+        region.free_ranges.erase(it);
+      }
       region.used += need;
       stats_.in_use_bytes += need;
       MemBlock block;
@@ -101,22 +109,23 @@ void MemCache::free(const MemBlock& block) {
       ++stats_.guard_violations;
       if (on_violation_) on_violation_(block);
     }
-    // Coalescing insert.
-    auto [it, inserted] = region.free_ranges.emplace(offset, need);
-    (void)inserted;
-    if (it != region.free_ranges.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + prev->second == it->first) {
-        prev->second += it->second;
-        region.free_ranges.erase(it);
-        it = prev;
-      }
-    }
-    auto next = std::next(it);
-    if (next != region.free_ranges.end() &&
-        it->first + it->second == next->first) {
-      it->second += next->second;
-      region.free_ranges.erase(next);
+    // Coalescing insert: grow an adjacent range in place where one exists,
+    // so a map node is only made or dropped when the range count changes.
+    auto& ranges = region.free_ranges;
+    auto next = ranges.lower_bound(offset);
+    const bool joins_next =
+        next != ranges.end() && offset + need == next->first;
+    const auto prev = next == ranges.begin() ? ranges.end() : std::prev(next);
+    if (prev != ranges.end() && prev->first + prev->second == offset) {
+      prev->second += need + (joins_next ? next->second : 0);
+      if (joins_next) ranges.erase(next);
+    } else if (joins_next) {
+      auto node = ranges.extract(next++);
+      node.key() = offset;
+      node.mapped() += need;
+      ranges.insert(next, std::move(node));
+    } else {
+      ranges.emplace_hint(next, offset, need);
     }
     region.used -= need;
     stats_.in_use_bytes -= need;
@@ -142,11 +151,13 @@ bool MemCache::check_guards(Region& region, std::uint64_t offset,
   if (!cfg_.real_memory) return true;
   std::uint8_t* base = nic_.mr_ptr(region.info.addr + offset, padded(len));
   if (!base) return true;
-  for (std::uint32_t i = 0; i < kGuardBytes; ++i) {
-    if (base[i] != kCanary) return false;
-    if (base[kGuardBytes + len + i] != kCanary) return false;
-  }
-  return true;
+  static const auto band = [] {
+    std::array<std::uint8_t, kGuardBytes> b{};
+    b.fill(kCanary);
+    return b;
+  }();
+  return std::memcmp(base, band.data(), kGuardBytes) == 0 &&
+         std::memcmp(base + kGuardBytes + len, band.data(), kGuardBytes) == 0;
 }
 
 void MemCache::shrink() {

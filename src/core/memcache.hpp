@@ -102,6 +102,8 @@ class MemCache {
   }
 
  private:
+  friend struct MemCacheProbe;  // tests read the free-range maps
+
   // Canary band on each side of an allocation in isolation mode.
   static constexpr std::uint32_t kGuardBytes = 64;
 

@@ -52,19 +52,6 @@ class QpCache {
     ++recycles_;
   }
 
-  /// Memory-pressure path: destroy cached QPs (oldest first) until at most
-  /// `target` remain. Returns how many were destroyed.
-  std::size_t shrink_to(std::size_t target) {
-    std::size_t destroyed = 0;
-    while (cached_.size() > target) {
-      nic_.destroy_qp(cached_.front());
-      cached_.pop_front();
-      ++destroyed;
-    }
-    evictions_ += destroyed;
-    return destroyed;
-  }
-
   void clear() {
     for (const rnic::QpNum qpn : cached_) nic_.destroy_qp(qpn);
     cached_.clear();

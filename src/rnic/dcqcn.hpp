@@ -44,6 +44,7 @@ class Dcqcn {
     cnp_since_alpha_update_ = true;
     last_event_ = now;
     if (now - last_cut_ < cfg_.rate_cut_min_interval) return;
+    apply_decays();
     last_cut_ = now;
     rt_ = rc_;
     rc_ = std::max(cfg_.min_rate_gbps, rc_ * (1.0 - alpha_ / 2.0));
@@ -57,16 +58,31 @@ class Dcqcn {
   /// Drive the alpha-decay and rate-increase state machines. The NIC calls
   /// this opportunistically (on sends and on a housekeeping timer); exact
   /// tick alignment is not required because elapsed time is measured.
+  /// Costs O(1) per call once the flow is back at line rate, however long
+  /// it sat idle: the result is the same as stepping every elapsed tick.
   void advance(Nanos now) {
     if (!cfg_.enabled) return;
-    // Alpha decay: one decay per elapsed alpha_timer without a CNP.
-    while (now - last_alpha_update_ >= cfg_.alpha_timer) {
-      last_alpha_update_ += cfg_.alpha_timer;
-      if (!cnp_since_alpha_update_) alpha_ *= (1.0 - cfg_.g);
+    // Alpha decay: one decay per elapsed alpha_timer without a CNP (a CNP
+    // since the last update spends the first tick). Counted here, applied
+    // in order when alpha is next read.
+    const Nanos alpha_gap = now - last_alpha_update_;
+    if (alpha_gap >= cfg_.alpha_timer) {
+      const Nanos ticks = alpha_gap / cfg_.alpha_timer;
+      last_alpha_update_ += ticks * cfg_.alpha_timer;
+      pending_decays_ += static_cast<std::uint64_t>(ticks) -
+                         (cnp_since_alpha_update_ ? 1 : 0);
       cnp_since_alpha_update_ = false;
     }
-    // Increase stages from the timer.
+    // Increase stages from the timer. With both rates at line rate
+    // apply_increase is an exact fixed point, so the remaining ticks only
+    // move the clock and the stage counter.
     while (now - last_increase_ >= cfg_.increase_timer) {
+      if (rc_ == line_rate_ && rt_ == line_rate_) {
+        const Nanos ticks = (now - last_increase_) / cfg_.increase_timer;
+        last_increase_ += ticks * cfg_.increase_timer;
+        stage_timer_ += static_cast<int>(ticks);
+        break;
+      }
       last_increase_ += cfg_.increase_timer;
       ++stage_timer_;
       apply_increase();
@@ -79,10 +95,26 @@ class Dcqcn {
     }
   }
 
-  double alpha() const { return alpha_; }
+  double alpha() const {
+    apply_decays();
+    return alpha_;
+  }
   bool at_line_rate() const { return rc_ >= line_rate_ * 0.999; }
 
  private:
+  // The same run of alpha *= (1 - g) the per-tick loop performs. Once a
+  // multiplication leaves alpha unchanged (it underflowed to a fixed
+  // point) every later one would too, so a long idle run stops early.
+  void apply_decays() const {
+    const double keep = 1.0 - cfg_.g;
+    for (; pending_decays_ > 0; --pending_decays_) {
+      const double next = alpha_ * keep;
+      if (next == alpha_) break;
+      alpha_ = next;
+    }
+    pending_decays_ = 0;
+  }
+
   void apply_increase() {
     // Per the DCQCN spec: hyper increase needs BOTH counters past the
     // fast-recovery threshold (min), additive increase needs EITHER (max).
@@ -103,7 +135,8 @@ class Dcqcn {
   double line_rate_;
   double rc_;          // current rate (Gbps)
   double rt_;          // target rate
-  double alpha_ = 1.0;
+  mutable double alpha_ = 1.0;  // excludes pending_decays_
+  mutable std::uint64_t pending_decays_ = 0;
   Nanos next_send_ = 0;
   Nanos last_cut_ = -kNanosPerSec;
   Nanos last_alpha_update_ = 0;

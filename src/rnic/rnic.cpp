@@ -150,11 +150,6 @@ Errc Rnic::post_srq_recv(SrqId srqid, const RecvWr& wr) {
   return Errc::ok;
 }
 
-std::size_t Rnic::srq_outstanding(SrqId srqid) const {
-  auto it = srqs_.find(srqid);
-  return it == srqs_.end() ? 0 : it->second->wqes.size();
-}
-
 // --------------------------------------------------------------------------
 // Queue pairs.
 

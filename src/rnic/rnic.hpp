@@ -69,7 +69,6 @@ class Rnic {
   // --- Shared receive queues --------------------------------------------
   SrqId create_srq(std::uint32_t depth);
   Errc post_srq_recv(SrqId srq, const RecvWr& wr);
-  std::size_t srq_outstanding(SrqId srq) const;
 
   // --- Queue pairs --------------------------------------------------------
   /// Every QP is reliable-connected (RC): the middleware posts only Send,

@@ -185,14 +185,12 @@ void CmService::connect(rnic::Rnic& nic, net::NodeId dst, std::uint16_t port,
                   Established server_side;
                   server_side.qp = Qp(&listener->nic_, server_qpn);
                   server_side.peer_node = nic.node();
-                  server_side.peer_qp = client_qpn;
                   server_side.private_data = shared->private_data;
                   listener->on_accept_(std::move(server_side));
 
                   Established client_side;
                   client_side.qp = Qp(&nic, client_qpn);
                   client_side.peer_node = listener->nic_.node();
-                  client_side.peer_qp = server_qpn;
                   client_side.private_data = rep_data;
                   cb(std::move(client_side));
                 });

@@ -44,7 +44,6 @@ struct CmCosts {
 struct Established {
   Qp qp;
   net::NodeId peer_node = net::kInvalidNode;
-  QpNum peer_qp = rnic::kInvalidId;
   Buffer private_data;  // what the peer sent in REQ/REP
 };
 

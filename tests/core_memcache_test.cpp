@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -11,6 +14,25 @@
 #include "testbed/cluster.hpp"
 
 namespace xrdma::core {
+
+using FreeRanges = std::map<std::uint64_t, std::uint64_t>;
+
+// Read-only view of MemCache's per-MR free-range maps, in MR order.
+struct MemCacheProbe {
+  static constexpr std::uint32_t kGuardBytes = MemCache::kGuardBytes;
+
+  static std::vector<FreeRanges> free_ranges(const MemCache& cache) {
+    std::vector<FreeRanges> out;
+    for (const auto& region : cache.mrs_) out.push_back(region.free_ranges);
+    return out;
+  }
+  static std::vector<std::uint64_t> mr_addrs(const MemCache& cache) {
+    std::vector<std::uint64_t> out;
+    for (const auto& region : cache.mrs_) out.push_back(region.info.addr);
+    return out;
+  }
+};
+
 namespace {
 
 struct CacheFixture : ::testing::Test {
@@ -112,6 +134,26 @@ TEST_F(CacheFixture, IsolationDetectsOutOfBoundsWrite) {
   EXPECT_EQ(violations, 1);
 }
 
+TEST_F(CacheFixture, IsolationDetectsEveryGuardByte) {
+  constexpr std::uint32_t kGuard = MemCacheProbe::kGuardBytes;
+  constexpr std::uint32_t kLen = 200;
+  MemCache cache(nic);
+  int violations = 0;
+  cache.set_violation_handler([&](const MemBlock&) { ++violations; });
+  // Byte i < kGuard sits in the front band, the rest in the back band.
+  for (std::uint32_t i = 0; i < 2 * kGuard; ++i) {
+    SCOPED_TRACE(i);
+    MemBlock b = cache.alloc(kLen);
+    ASSERT_TRUE(b.valid());
+    std::uint8_t* p = cache.data(b);
+    std::uint8_t* hit = i < kGuard ? p - kGuard + i : p + kLen + (i - kGuard);
+    *hit ^= 0xff;
+    cache.free(b);
+    EXPECT_EQ(cache.stats().guard_violations, i + 1);
+    EXPECT_EQ(violations, static_cast<int>(i + 1));
+  }
+}
+
 TEST_F(CacheFixture, UnderflowWriteAlsoDetected) {
   MemCache cache(nic);
   int violations = 0;
@@ -184,40 +226,112 @@ TEST_F(CacheFixture, StarvedCacheFailsCleanlyAtMrCap) {
   EXPECT_EQ(cache.stats().in_use_bytes, 0u);
 }
 
+// First-fit over per-MR offset -> length maps, carved and coalesced with
+// plain erase/insert: the allocator MemCache must match placement for
+// placement, with the same free ranges left behind.
+struct FirstFitModel {
+  std::uint64_t mr_bytes = 0;
+  std::size_t max_mrs = 0;
+  std::vector<FreeRanges> regions;
+
+  // (MR index, offset) of the carved range.
+  std::optional<std::pair<std::size_t, std::uint64_t>> alloc(
+      std::uint64_t need) {
+    auto carve = [&](FreeRanges& ranges) -> std::optional<std::uint64_t> {
+      for (auto it = ranges.begin(); it != ranges.end(); ++it) {
+        if (it->second < need) continue;
+        const std::uint64_t offset = it->first;
+        const std::uint64_t remaining = it->second - need;
+        ranges.erase(it);
+        if (remaining > 0) ranges[offset + need] = remaining;
+        return offset;
+      }
+      return std::nullopt;
+    };
+    for (std::size_t i = 0; i < regions.size(); ++i) {
+      if (auto offset = carve(regions[i])) return std::pair{i, *offset};
+    }
+    if (regions.size() >= max_mrs) return std::nullopt;
+    regions.push_back({{0, mr_bytes}});
+    if (auto offset = carve(regions.back())) {
+      return std::pair{regions.size() - 1, *offset};
+    }
+    return std::nullopt;
+  }
+
+  void free(std::size_t region, std::uint64_t offset, std::uint64_t need) {
+    FreeRanges& ranges = regions[region];
+    auto it = ranges.emplace(offset, need).first;
+    if (it != ranges.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + prev->second == it->first) {
+        prev->second += it->second;
+        ranges.erase(it);
+        it = prev;
+      }
+    }
+    auto next = std::next(it);
+    if (next != ranges.end() && it->first + it->second == next->first) {
+      it->second += next->second;
+      ranges.erase(next);
+    }
+  }
+};
+
 // Allocator property sweep: random alloc/free sequences preserve
-// accounting and never hand out overlapping blocks.
+// accounting, never hand out overlapping blocks, and place every block
+// exactly where the reference first-fit model does.
 class MemCacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MemCacheProperty, RandomAllocFreeKeepsInvariants) {
+  constexpr std::uint32_t kGuard = MemCacheProbe::kGuardBytes;
   testbed::Cluster cluster;
   MemCacheConfig cfg;
   cfg.mr_bytes = 256 * 1024;
   MemCache cache(cluster.rnic(0), cfg);
+  FirstFitModel model{cfg.mr_bytes, cfg.max_mrs,
+                      MemCacheProbe::free_ranges(cache)};
   Rng rng(GetParam());
 
   struct Live {
     MemBlock block;
+    std::size_t region;
+    std::uint64_t offset;
   };
   std::vector<Live> live;
   for (int step = 0; step < 2000; ++step) {
     if (live.empty() || rng.chance(0.55)) {
+      // Half the requests share one size, so freed holes get refilled
+      // exactly, as a channel's bounce ring refills its own slots.
       const std::uint32_t len =
-          static_cast<std::uint32_t>(rng.uniform(1, 32 * 1024));
+          rng.chance(0.5)
+              ? 4192
+              : static_cast<std::uint32_t>(rng.uniform(1, 32 * 1024));
       MemBlock b = cache.alloc(len);
+      const auto want = model.alloc(len + 2 * kGuard);
+      ASSERT_EQ(b.valid(), want.has_value()) << "step " << step;
       if (!b.valid()) continue;
+      const auto [region, offset] = *want;
+      ASSERT_EQ(b.addr,
+                MemCacheProbe::mr_addrs(cache).at(region) + offset + kGuard)
+          << "step " << step;
       // No overlap with any live block.
       for (const auto& l : live) {
         const bool disjoint = b.addr + b.len <= l.block.addr ||
                               l.block.addr + l.block.len <= b.addr;
         ASSERT_TRUE(disjoint);
       }
-      live.push_back({b});
+      live.push_back({b, region, offset});
     } else {
       const std::size_t i =
           static_cast<std::size_t>(rng.next_below(live.size()));
       cache.free(live[i].block);
+      model.free(live[i].region, live[i].offset,
+                 live[i].block.len + 2 * kGuard);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
     }
+    ASSERT_EQ(MemCacheProbe::free_ranges(cache), model.regions)
+        << "step " << step;
   }
   for (const auto& l : live) cache.free(l.block);
   EXPECT_EQ(cache.stats().in_use_bytes, 0u);

@@ -1,8 +1,7 @@
 // QP cache (§IV-E): unit behaviour of the RESET-state recycle pool plus
 // its integration with the connect/close path — a recycled QP must come
-// back in RESET and actually be reused by the next connection, capacity
-// overflow must destroy rather than hoard, and the memory-pressure
-// shrink_to path must release RNIC resources.
+// back in RESET and actually be reused by the next connection, and
+// capacity overflow must destroy rather than hoard.
 #include <gtest/gtest.h>
 
 #include "core/context.hpp"
@@ -80,36 +79,6 @@ TEST(QpCache, CapacityOverflowDestroysInsteadOfHoarding) {
   EXPECT_EQ(cache.recycles(), 2u);
   EXPECT_EQ(cache.evictions(), 3u);
   EXPECT_EQ(t.nic.num_qps(), base + 2);
-}
-
-TEST(QpCache, ShrinkToReleasesOldestUnderMemoryPressure) {
-  NicFixture t;
-  QpCache cache(t.nic, 8);
-
-  std::vector<rnic::QpNum> qps;
-  for (int i = 0; i < 6; ++i) {
-    qps.push_back(t.make_rts_qp());
-    cache.put(qps.back());
-  }
-  const std::size_t base = t.nic.num_qps();
-
-  // FIFO: shrinking destroys the oldest entries first, so the survivors
-  // are the most recently recycled (warmest) QPs.
-  EXPECT_EQ(cache.shrink_to(2), 4u);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.evictions(), 4u);
-  EXPECT_EQ(t.nic.num_qps(), base - 4);
-  const auto a = cache.take();
-  const auto b = cache.take();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, qps[4]);
-  EXPECT_EQ(*b, qps[5]);
-
-  // Shrinking an already-small cache is a no-op.
-  EXPECT_EQ(cache.shrink_to(5), 0u);
-  t.nic.destroy_qp(*a);
-  t.nic.destroy_qp(*b);
 }
 
 // Integration: closing a channel recycles its QP through the context's

@@ -451,8 +451,21 @@ TEST(Srq, SharedAcrossQps) {
   c.run();
   Wc wc[8];
   const int n = rcq.poll(wc, 8);
-  EXPECT_EQ(n, 2);  // both QPs consumed from the shared pool
-  EXPECT_EQ(c.rnic(1).srq_outstanding(srq), 2u);
+  ASSERT_EQ(n, 2);  // both QPs consumed from the shared pool, in post order
+  EXPECT_EQ(wc[0].wr_id, 0u);
+  EXPECT_EQ(wc[1].wr_id, 1u);
+  EXPECT_NE(wc[0].qp_num, wc[1].qp_num);
+  // The two left over serve whichever QP receives next.
+  for (int i = 0; i < 2; ++i) {
+    cqp_b.post_send({.wr_id = 3,
+                     .opcode = Opcode::send,
+                     .local = {smr.addr(), 8, smr.lkey()}});
+  }
+  c.run();
+  ASSERT_EQ(rcq.poll(wc, 8), 2);
+  EXPECT_EQ(wc[0].wr_id, 2u);
+  EXPECT_EQ(wc[1].wr_id, 3u);
+  EXPECT_EQ(wc[0].qp_num, sqp_b.num());
 }
 
 TEST(QpCache, MissesTrackedWhenWorkingSetExceedsSram) {

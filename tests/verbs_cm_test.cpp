@@ -51,9 +51,35 @@ TEST_F(CmFixture, EstablishesBothSidesRts) {
   EXPECT_EQ(server_side.qp.state(), QpState::rts);
   EXPECT_EQ(client_side.peer_node, 1u);
   EXPECT_EQ(server_side.peer_node, 0u);
-  // Cross-references agree.
-  EXPECT_EQ(client_side.peer_qp, server_side.qp.num());
-  EXPECT_EQ(server_side.peer_qp, client_side.qp.num());
+  // Each side's QP was moved to RTR aimed at the other's: a send from
+  // either lands in the peer QP's receive queue.
+  const rnic::MrInfo cmr = client_nic.reg_mr(64);
+  const rnic::MrInfo smr = server_nic.reg_mr(64);
+  ASSERT_EQ(
+      server_side.qp.post_recv({.wr_id = 1, .sge = {smr.addr, 64, smr.lkey}}),
+      Errc::ok);
+  ASSERT_EQ(
+      client_side.qp.post_recv({.wr_id = 2, .sge = {cmr.addr, 64, cmr.lkey}}),
+      Errc::ok);
+  ASSERT_EQ(client_side.qp.post_send({.wr_id = 3,
+                                      .opcode = rnic::Opcode::send,
+                                      .local = {cmr.addr, 8, cmr.lkey}}),
+            Errc::ok);
+  ASSERT_EQ(server_side.qp.post_send({.wr_id = 4,
+                                      .opcode = rnic::Opcode::send,
+                                      .local = {smr.addr, 8, smr.lkey}}),
+            Errc::ok);
+  cluster.engine().run_for(millis(1));
+  auto received_on = [](rnic::Rnic& nic, rnic::CqId cq) {
+    rnic::Wc wc[4];
+    const int n = nic.poll_cq(cq, wc, 4);
+    for (int i = 0; i < n; ++i) {
+      if (wc[i].opcode == rnic::WcOpcode::recv) return wc[i].qp_num;
+    }
+    return rnic::kInvalidId;
+  };
+  EXPECT_EQ(received_on(server_nic, scq), server_side.qp.num());
+  EXPECT_EQ(received_on(client_nic, ccq), client_side.qp.num());
 }
 
 TEST_F(CmFixture, EstablishmentTimeMatchesCostModel) {
