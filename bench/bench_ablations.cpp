@@ -172,10 +172,8 @@ void ablate_polling() {
     // Polls of the RPC phase only.
     const std::uint64_t polls = pair.client.stats().polls - polls0;
     const std::uint64_t empty = pair.client.stats().empty_polls - empty0;
-    const char* name = mode == core::PollMode::busy     ? "busy"
-                       : mode == core::PollMode::hybrid ? "hybrid"
-                                                        : "event";
-    print_row({name, fmt("%.2f", lat.mean() / 1000.0), std::to_string(polls),
+    print_row({core::kPollModeNames.name(mode),
+               fmt("%.2f", lat.mean() / 1000.0), std::to_string(polls),
                fmt("%.1f", 100.0 * static_cast<double>(empty) /
                                static_cast<double>(polls))});
   }

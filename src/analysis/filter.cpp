@@ -6,13 +6,6 @@
 namespace xrdma::analysis {
 
 namespace {
-constexpr const char* kFaultKindNames[kNumFaultKinds] = {
-    "ingress_drop", "ingress_delay", "ingress_corrupt",
-    "egress_drop",  "egress_delay",  "egress_corrupt",
-    "qp_kill",      "cm_refuse",     "cm_timeout",
-    "host_down",    "host_up",
-};
-
 bool is_ingress(FaultKind k) {
   return k == FaultKind::ingress_drop || k == FaultKind::ingress_delay ||
          k == FaultKind::ingress_corrupt;
@@ -22,18 +15,6 @@ bool is_egress(FaultKind k) {
          k == FaultKind::egress_corrupt;
 }
 }  // namespace
-
-const char* to_string(FaultKind kind) {
-  const auto i = static_cast<std::size_t>(kind);
-  return i < kNumFaultKinds ? kFaultKindNames[i] : "unknown";
-}
-
-std::optional<FaultKind> fault_kind_from_string(std::string_view name) {
-  for (std::size_t i = 0; i < kNumFaultKinds; ++i) {
-    if (name == kFaultKindNames[i]) return static_cast<FaultKind>(i);
-  }
-  return std::nullopt;
-}
 
 Filter::Filter(core::Context& ctx, std::uint64_t seed) : ctx_(ctx) {
   rng_.reseed(seed);

@@ -26,29 +26,33 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
 #include "sim/timer.hpp"
 
 namespace xrdma::analysis {
 
-enum class FaultKind : std::uint8_t {
-  ingress_drop,
-  ingress_delay,
-  ingress_corrupt,
-  egress_drop,
-  egress_delay,
-  egress_corrupt,
-  qp_kill,     // accounting only (kills are injected via kill_qp*)
-  cm_refuse,   // CM answers REP(reject)
-  cm_timeout,  // CM REQ goes unanswered (full connect timeout)
-  host_down,   // accounting only (the harness silences the host's stacks)
-  host_up,     // accounting only (the harness revives the host)
-};
-inline constexpr std::size_t kNumFaultKinds = 11;
+/// Fault kinds. The names are the vocabulary of the X-Check replay-file
+/// format, so a dumped fault schedule survives enum reordering.
+#define XRDMA_FAULT_KINDS(X)                                                  \
+  X(ingress_drop, "ingress_drop")                                             \
+  X(ingress_delay, "ingress_delay")                                           \
+  X(ingress_corrupt, "ingress_corrupt")                                       \
+  X(egress_drop, "egress_drop")                                               \
+  X(egress_delay, "egress_delay")                                             \
+  X(egress_corrupt, "egress_corrupt")                                         \
+  X(qp_kill, "qp_kill") /* accounting only (injected via kill_qp*) */         \
+  X(cm_refuse, "cm_refuse")   /* CM answers REP(reject) */                    \
+  X(cm_timeout, "cm_timeout") /* CM REQ unanswered (full timeout) */          \
+  X(host_down, "host_down") /* accounting only (harness silences host) */     \
+  X(host_up, "host_up")     /* accounting only (harness revives host) */
+
+enum class FaultKind : std::uint8_t { XRDMA_FAULT_KINDS(XRDMA_ENUM_ID) };
+inline constexpr auto kFaultKindNames =
+    enum_names<FaultKind>({XRDMA_FAULT_KINDS(XRDMA_ENUM_NAME)});
 
 struct FaultRule {
   FaultKind kind = FaultKind::ingress_drop;
@@ -58,11 +62,6 @@ struct FaultRule {
   Nanos delay = 0;              // *_delay: max extra latency, drawn uniform
                                 // in [1,delay]; 0 means a 50us default
 };
-
-/// Stable textual names for FaultKind — the vocabulary of the X-Check
-/// replay-file format, so a dumped fault schedule survives enum reordering.
-const char* to_string(FaultKind kind);
-std::optional<FaultKind> fault_kind_from_string(std::string_view name);
 
 class Filter {
  public:
@@ -103,7 +102,7 @@ class Filter {
   core::Context& ctx_;
   Rng rng_;
   std::vector<Slot> rules_;
-  std::uint64_t injected_[kNumFaultKinds] = {};
+  std::uint64_t injected_[kFaultKindNames.size] = {};
   std::vector<std::unique_ptr<sim::DeadlineTimer>> kill_timers_;
   // Per-channel release floors keep delay injection order-preserving: a
   // delayed message holds back everything behind it on the same channel

@@ -8,68 +8,7 @@
 
 namespace xrdma::analysis {
 
-const char* to_string(RecEvent e) {
-  switch (e) {
-    case RecEvent::none: return "none";
-    case RecEvent::chan_state: return "chan_state";
-    case RecEvent::recovery_start: return "recovery_start";
-    case RecEvent::recovery_attempt: return "recovery_attempt";
-    case RecEvent::recovery_resumed: return "recovery_resumed";
-    case RecEvent::fallback_switch: return "fallback_switch";
-    case RecEvent::fallback_attach: return "fallback_attach";
-    case RecEvent::fallback_restore: return "fallback_restore";
-    case RecEvent::breaker_fastfail: return "breaker_fastfail";
-    case RecEvent::health_grade: return "health_grade";
-    case RecEvent::peer_dead: return "peer_dead";
-    case RecEvent::breaker_open: return "breaker_open";
-    case RecEvent::breaker_close: return "breaker_close";
-    case RecEvent::flap: return "flap";
-    case RecEvent::holddown: return "holddown";
-    case RecEvent::cm_connect: return "cm_connect";
-    case RecEvent::cm_resume: return "cm_resume";
-    case RecEvent::overload_shed: return "overload_shed";
-    case RecEvent::overload_would_block: return "overload_would_block";
-    case RecEvent::overload_nak_tx: return "overload_nak_tx";
-    case RecEvent::overload_pull_defer: return "overload_pull_defer";
-    case RecEvent::overload_mem_defer: return "overload_mem_defer";
-    case RecEvent::pressure: return "pressure";
-    case RecEvent::watchdog_trip: return "watchdog_trip";
-    case RecEvent::msg_tx_sample: return "msg_tx_sample";
-    case RecEvent::wr_sample: return "wr_sample";
-    case RecEvent::mem_grow: return "mem_grow";
-    case RecEvent::mem_shrink: return "mem_shrink";
-    case RecEvent::mem_denial: return "mem_denial";
-    case RecEvent::trigger: return "trigger";
-    case RecEvent::lifecycle_state: return "lifecycle_state";
-    case RecEvent::drain_rx: return "drain_rx";
-    case RecEvent::hdr_version_reject: return "hdr_version_reject";
-    case RecEvent::proto_negotiated: return "proto_negotiated";
-    case RecEvent::batch_flush: return "batch_flush";
-    case RecEvent::crc_fail_rx: return "crc_fail_rx";
-    case RecEvent::integrity_nak_tx: return "integrity_nak_tx";
-    case RecEvent::integrity_nak_rx: return "integrity_nak_rx";
-    case RecEvent::integrity_retransmit: return "integrity_retransmit";
-    case RecEvent::integrity_exhausted: return "integrity_exhausted";
-    case RecEvent::corruption_storm: return "corruption_storm";
-  }
-  return "unknown";
-}
-
-const char* to_string(TrigReason r) {
-  switch (r) {
-    case TrigReason::manual: return "manual";
-    case TrigReason::channel_death: return "channel_death";
-    case TrigReason::peer_dead: return "peer_dead";
-    case TrigReason::oracle_failure: return "oracle_failure";
-    case TrigReason::watchdog: return "watchdog";
-  }
-  return "unknown";
-}
-
 namespace {
-
-constexpr std::uint16_t kLastEvent =
-    static_cast<std::uint16_t>(RecEvent::corruption_storm);
 
 std::size_t round_pow2(std::uint32_t v) {
   std::size_t p = 1;
@@ -102,7 +41,7 @@ std::string Dump::event_name(std::uint16_t type) const {
   for (const auto& [id, name] : event_names) {
     if (id == type) return name;
   }
-  return to_string(static_cast<RecEvent>(type));
+  return kRecEventNames.name(type);
 }
 
 // --- .xrd encoding -------------------------------------------------------
@@ -189,10 +128,10 @@ std::vector<std::uint8_t> encode_xrd(const Dump& dump) {
   put_str(b, dump.reason);
 
   // Self-description: the full event vocabulary of the writing build.
-  put_u32(b, kLastEvent + 1);
-  for (std::uint16_t id = 0; id <= kLastEvent; ++id) {
+  put_u32(b, static_cast<std::uint32_t>(kRecEventNames.size));
+  for (std::uint16_t id = 0; id < kRecEventNames.size; ++id) {
     put_u16(b, id);
-    put_str(b, to_string(static_cast<RecEvent>(id)));
+    put_str(b, kRecEventNames.names[id]);
   }
 
   put_u32(b, static_cast<std::uint32_t>(dump.records.size()));

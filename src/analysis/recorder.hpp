@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/enum_names.hpp"
 #include "common/time.hpp"
 
 namespace xrdma::core {
@@ -36,77 +37,85 @@ class Context;
 
 namespace xrdma::analysis {
 
-/// Event vocabulary. Stable small integers: they are written into dumps
-/// (alongside a name table, so decoding survives renumbering, but keeping
-/// them append-only keeps old dumps trivially comparable).
-enum class RecEvent : std::uint16_t {
-  none = 0,
-  // Channel lifecycle. code=new state, a=old state, b=errc cause.
-  chan_state = 1,
-  // Recovery ladder. code varies: attempt number / errc.
-  recovery_start = 2,      // code=errc fault, a=recovery budget
-  recovery_attempt = 3,    // code=attempt number
-  recovery_resumed = 4,    // code=attempt number, a=recovery latency ns
-  fallback_switch = 5,     // ladder exhausted, going to TCP
-  fallback_attach = 6,     // TCP mock attached
-  fallback_restore = 7,    // back on RDMA
-  breaker_fastfail = 8,    // attempt swallowed by an open breaker
-  // Health plane. chan field carries the peer id.
-  health_grade = 9,        // code=new PeerState, a=old PeerState
-  peer_dead = 10,          // code=reporting channel id
-  breaker_open = 11,
-  breaker_close = 12,
-  flap = 13,               // a=flap count
-  holddown = 14,           // code=new level, a=hold-down nanos
-  cm_connect = 15,         // code=errc, chan=peer
-  cm_resume = 16,          // code=errc, chan=peer
-  // Overload plane.
-  overload_shed = 17,      // hard pressure: message refused at enqueue
-  overload_would_block = 18,  // bounded tx queue at cap
-  overload_nak_tx = 19,    // receiver memory NAK sent, a=seq
-  overload_pull_defer = 20,   // rendezvous pull deferred, a=seq
-  overload_mem_defer = 21,    // sender tx deferred on alloc failure
-  pressure = 22,           // code=new MemPressure, a=old
-  // Context plane.
-  watchdog_trip = 23,      // poll-gap watchdog: a=gap ns, b=threshold ns
-  msg_tx_sample = 24,      // sampled send path, a=seq, b=bytes
-  wr_sample = 25,          // sampled WR completion, code=WrInfo kind, a=seq
-  // Memory cache. code distinguishes ctrl(0)/data(1) caches.
-  mem_grow = 26,           // a=occupied bytes after
-  mem_shrink = 27,         // a=occupied bytes after
-  mem_denial = 28,         // reserve denial, a=requested len
-  // Dump bookkeeping.
-  trigger = 29,            // dump trigger fired; code=TrigReason
-  // Lifecycle plane (graceful drain + protocol negotiation).
-  lifecycle_state = 30,    // code=new Lifecycle, a=old Lifecycle
-  drain_rx = 31,           // peer announced drain; chan=peer, a=retry-after ns
-  hdr_version_reject = 32, // decode refused a version; code=HdrDecode, a=len
-  proto_negotiated = 33,   // code=effective version, a=features, b=peer range
-  batch_flush = 34,        // reserved: chained doorbell (no longer logged;
-                           // kept so older dumps still decode)
-  // End-to-end integrity plane (e2e_crc).
-  crc_fail_rx = 35,        // frame dropped on CRC mismatch; seq, a=payload_len
-  integrity_nak_tx = 36,   // receiver NAK'd a corrupted frame; seq
-  integrity_nak_rx = 37,   // sender received an integrity NAK; seq
-  integrity_retransmit = 38,  // window entry re-sent on integrity NAK; seq,
-                              // code=retry count for the NAK'd entry
-  integrity_exhausted = 39,   // retry budget spent; seq, code=budget
-  corruption_storm = 40,   // storm detector graded a peer; chan=peer,
-                           // a=CRC failures in the last four scans
-};
+/// Event vocabulary, one X(id, "name") line per event. Stable small
+/// integers: the position is the raw value written into dumps (alongside a
+/// name table, so decoding survives renumbering, but keeping the list
+/// append-only keeps old dumps trivially comparable). An event added here
+/// reaches every dump's name table with nothing else to edit.
+#define XRDMA_REC_EVENTS(X)                                                   \
+  X(none, "none")                                                             \
+  /* Channel lifecycle. code=new state, a=old state, b=errc cause. */         \
+  X(chan_state, "chan_state")                                                 \
+  /* Recovery ladder. */                                                      \
+  X(recovery_start, "recovery_start")     /* code=errc fault, a=budget */     \
+  X(recovery_attempt, "recovery_attempt") /* code=attempt number */           \
+  X(recovery_resumed, "recovery_resumed") /* code=attempt, a=latency ns */    \
+  X(fallback_switch, "fallback_switch")   /* ladder exhausted: to TCP */      \
+  X(fallback_attach, "fallback_attach")   /* TCP mock attached */             \
+  X(fallback_restore, "fallback_restore") /* back on RDMA */                  \
+  X(breaker_fastfail, "breaker_fastfail") /* swallowed by open breaker */     \
+  /* Health plane. chan field carries the peer id. */                         \
+  X(health_grade, "health_grade") /* code=new PeerState, a=old */             \
+  X(peer_dead, "peer_dead")       /* code=reporting channel id */             \
+  X(breaker_open, "breaker_open")                                             \
+  X(breaker_close, "breaker_close")                                           \
+  X(flap, "flap")                 /* a=flap count */                          \
+  X(holddown, "holddown")         /* code=new level, a=hold-down nanos */     \
+  X(cm_connect, "cm_connect")     /* code=errc, chan=peer */                  \
+  X(cm_resume, "cm_resume")       /* code=errc, chan=peer */                  \
+  /* Overload plane. */                                                       \
+  X(overload_shed, "overload_shed") /* hard pressure: refused at enqueue */   \
+  X(overload_would_block, "overload_would_block") /* tx queue at cap */       \
+  X(overload_nak_tx, "overload_nak_tx") /* receiver memory NAK, a=seq */      \
+  X(overload_pull_defer, "overload_pull_defer") /* pull deferred, a=seq */    \
+  X(overload_mem_defer, "overload_mem_defer") /* tx deferred: alloc fail */   \
+  X(pressure, "pressure") /* code=new MemPressure, a=old */                   \
+  /* Context plane. */                                                        \
+  X(watchdog_trip, "watchdog_trip") /* poll-gap watchdog: a=gap, b=bound */   \
+  X(msg_tx_sample, "msg_tx_sample") /* sampled send, a=seq, b=bytes */        \
+  /* Sampled WR completion: code=WrKind, a=seq, b=errc status. */             \
+  X(wr_sample, "wr_sample")                                                   \
+  /* Memory cache. code distinguishes ctrl(0)/data(1) caches. */              \
+  X(mem_grow, "mem_grow")     /* a=occupied bytes after */                    \
+  X(mem_shrink, "mem_shrink") /* a=occupied bytes after */                    \
+  X(mem_denial, "mem_denial") /* reserve denial, a=requested len */           \
+  /* Dump bookkeeping. */                                                     \
+  X(trigger, "trigger") /* dump trigger fired; code=TrigReason */             \
+  /* Lifecycle plane (graceful drain + protocol negotiation). */              \
+  X(lifecycle_state, "lifecycle_state") /* code=new Lifecycle, a=old */       \
+  X(drain_rx, "drain_rx") /* chan=peer, a=retry-after ns, b=channel */        \
+  X(hdr_version_reject, "hdr_version_reject") /* code=HdrDecode, a=len */     \
+  /* code=effective version, a=features, b=peer's version range */            \
+  X(proto_negotiated, "proto_negotiated")                                     \
+  /* Reserved: chained doorbell (no longer logged; kept so older dumps */     \
+  /* still decode). */                                                        \
+  X(batch_flush, "batch_flush")                                               \
+  /* End-to-end integrity plane (e2e_crc). a=seq. */                          \
+  X(crc_fail_rx, "crc_fail_rx") /* dropped on CRC mismatch, b=payload */      \
+  X(integrity_nak_tx, "integrity_nak_tx") /* receiver NAK'd a frame */        \
+  X(integrity_nak_rx, "integrity_nak_rx") /* sender got an integrity NAK */   \
+  X(integrity_retransmit, "integrity_retransmit") /* re-sent, code=retry */   \
+  X(integrity_exhausted, "integrity_exhausted") /* code=retry budget */       \
+  /* Storm detector graded a peer; chan=peer, a=CRC failures in the last */   \
+  /* four scans. */                                                           \
+  X(corruption_storm, "corruption_storm")
+
+enum class RecEvent : std::uint16_t { XRDMA_REC_EVENTS(XRDMA_ENUM_ID) };
+inline constexpr auto kRecEventNames =
+    enum_names<RecEvent>({XRDMA_REC_EVENTS(XRDMA_ENUM_NAME)});
 
 /// Why a dump was cut. Written as Rec::code of the `trigger` record and as
 /// the dump's reason string.
-enum class TrigReason : std::uint16_t {
-  manual = 0,          // xr_adm dump / explicit API call
-  channel_death = 1,   // a channel reached terminal error
-  peer_dead = 2,       // health plane declared a peer dead
-  oracle_failure = 3,  // X-Check invariant violated
-  watchdog = 4,        // poll-gap watchdog tripped
-};
+#define XRDMA_TRIG_REASONS(X)                                                 \
+  X(manual, "manual")                 /* xr_adm dump / explicit API call */   \
+  X(channel_death, "channel_death")   /* a channel reached terminal error */  \
+  X(peer_dead, "peer_dead")           /* health plane declared a peer dead */ \
+  X(oracle_failure, "oracle_failure") /* X-Check invariant violated */        \
+  X(watchdog, "watchdog")             /* poll-gap watchdog tripped */
 
-const char* to_string(RecEvent e);
-const char* to_string(TrigReason r);
+enum class TrigReason : std::uint16_t { XRDMA_TRIG_REASONS(XRDMA_ENUM_ID) };
+inline constexpr auto kTrigReasonNames =
+    enum_names<TrigReason>({XRDMA_TRIG_REASONS(XRDMA_ENUM_NAME)});
 
 /// One record: 32 bytes, no padding, no pointers, no wall-clock time.
 struct Rec {

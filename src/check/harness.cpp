@@ -27,6 +27,18 @@ void fold64(std::uint64_t& d, std::uint64_t v) {
   }
 }
 
+/// A per-node config shape's draw for node `n`: a pure function of (seed,
+/// salt, node), so replay files pin it. Each shape salts with its own
+/// constant plus its parameter.
+std::uint64_t node_draw(std::uint64_t seed, std::uint64_t salt,
+                        std::uint64_t n) {
+  std::uint64_t h = seed ^ salt;
+  h ^= (n + 1) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  return h ^ (h >> 32);
+}
+
 struct SlotKey {
   std::uint8_t src = 0, dst = 0, slot = 0;
   bool operator<(const SlotKey& o) const {
@@ -189,15 +201,11 @@ RunReport Runner::run() {
     if (s_.params.batch_shape > 0) {
       // Batching shape: every node draws its own inline_max (off, small,
       // default), so inline talkers and staged-copy listeners meet in one
-      // run. The draw is a pure function of (seed, batch_shape, node):
-      // replay files pin it. It reads bits 8+ of the hash, as it did when
-      // the low bits also drew WR-chaining knobs, so older replays of
-      // this shape still draw the same inline_max.
-      std::uint64_t h = s_.seed ^ (0xba7c40ULL + s_.params.batch_shape);
-      h ^= (static_cast<std::uint64_t>(n) + 1) * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 29;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 32;
+      // run. It reads bits 8+ of the draw, as it did when the low bits
+      // also drew WR-chaining knobs, so older replays of this shape still
+      // draw the same inline_max.
+      const std::uint64_t h =
+          node_draw(s_.seed, 0xba7c40ULL + s_.params.batch_shape, n);
       static constexpr std::uint32_t kInline[] = {0, 64, 256};
       cfg.inline_max = kInline[(h >> 8) % 3];
     }
@@ -205,13 +213,9 @@ RunReport Runner::run() {
       // Corruption shape: ~3/4 of nodes arm the integrity plane, the rest
       // model the not-yet-upgraded fleet, so CRC-protected, CRC-free and
       // (with mixed_versions) v1 channels coexist and negotiate against
-      // each other in one run. Pure function of (seed, shape, node):
-      // replay files pin the draw.
-      std::uint64_t h = s_.seed ^ (0xc4c32cULL + s_.params.corruption_shape);
-      h ^= (static_cast<std::uint64_t>(n) + 1) * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 29;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 32;
+      // each other in one run.
+      const std::uint64_t h =
+          node_draw(s_.seed, 0xc4c32cULL + s_.params.corruption_shape, n);
       cfg.e2e_crc = (h % 4) != 0;
     }
     node_crc_capable_.push_back(cfg.e2e_crc && cfg.proto_version_max >= 2 &&
@@ -762,31 +766,15 @@ void Runner::finish_report() {
   rep_.events_fired = cluster_->engine().events_fired();
   rep_.end_time = now();
   for (auto& f : filters_) {
-    for (std::size_t k = 0; k < analysis::kNumFaultKinds; ++k) {
+    for (std::size_t k = 0; k < analysis::kFaultKindNames.size; ++k) {
       rep_.faults_injected += f->injected(static_cast<analysis::FaultKind>(k));
     }
   }
   rep_.faults_injected += host_faults_;
   for (auto& c : ctxs_) {
-    const auto& hs = c->health().stats();
-    rep_.dead_declarations += hs.dead_declarations;
-    rep_.breaker_opens += hs.breaker_opens;
-    rep_.health_flaps += hs.flaps;
-    rep_.crc_storms += hs.crc_storms;
-    rep_.drain_suppressions += hs.drain_suppressions;
-    rep_.drains_started += c->stats().drains_started;
-    rep_.drains_completed += c->stats().drains_completed;
-    rep_.lifecycle_rejects += c->stats().lifecycle_rejects;
-    const core::ChannelStats t = c->channel_totals();
-    rep_.drain_recovery_parks += t.drain_recovery_parks;
-    rep_.inline_sends += t.inline_sends;
-    rep_.doorbells += t.doorbells;
-    rep_.doorbell_wrs += t.doorbell_wrs;
-    rep_.crc_stamped += t.crc_stamped_tx;
-    rep_.crc_failures += t.crc_failures_rx;
-    rep_.integrity_naks += t.integrity_naks_tx;
-    rep_.integrity_retransmits += t.integrity_retransmits;
-    rep_.integrity_exhausted += t.integrity_exhausted;
+    rep_.chan += c->channel_totals();
+    rep_.health += c->health().stats();
+    rep_.ctx += c->stats();
   }
 
   std::uint64_t d = 0xcbf29ce484222325ULL;
@@ -810,9 +798,9 @@ void Runner::finish_report() {
   fold64(d, rep_.rpcs_completed);
   fold64(d, rep_.rpcs_failed);
   fold64(d, rep_.faults_injected);
-  fold64(d, rep_.crc_failures);
-  fold64(d, rep_.integrity_naks);
-  fold64(d, rep_.integrity_retransmits);
+  fold64(d, rep_.chan.crc_failures_rx);
+  fold64(d, rep_.chan.integrity_naks_tx);
+  fold64(d, rep_.chan.integrity_retransmits);
   fold64(d, rep_.unprotected_anomalies);
   fold64(d, rep_.events);
   fold64(d, static_cast<std::uint64_t>(rep_.end_time));

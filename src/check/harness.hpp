@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "check/schedule.hpp"
+#include "core/stats.hpp"
 
 namespace xrdma::check {
 
@@ -88,35 +89,14 @@ struct RunReport {
   std::uint64_t rpcs_completed = 0;
   std::uint64_t rpcs_failed = 0;  // timeouts / closed-channel aborts: legal
   std::uint64_t faults_injected = 0;
-  // Health-plane exercise counters (summed across all contexts): shape
-  // tests use these to prove a flap schedule actually drove the detector
-  // and breaker, not just that no oracle fired.
-  std::uint64_t dead_declarations = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t health_flaps = 0;
-  // Lifecycle exercise counters: drain cycles actually entered/completed on
-  // the victim, peers whose dead/fault verdicts were suppressed by a drain
-  // announcement, and negotiated-version rejections (disjoint ranges).
-  std::uint64_t drains_started = 0;
-  std::uint64_t drains_completed = 0;
-  std::uint64_t drain_suppressions = 0;
-  std::uint64_t drain_recovery_parks = 0;
-  std::uint64_t lifecycle_rejects = 0;
-  // Batching-shape exercise counters (summed across all channels at
-  // quiesce): the shape asserts inline sends actually fired and that every
-  // data doorbell carried exactly one WR.
-  std::uint64_t inline_sends = 0;
-  std::uint64_t doorbells = 0;
-  std::uint64_t doorbell_wrs = 0;
-  // Integrity-plane exercise counters (summed across all channels at
-  // quiesce): a corruption_shape sweep asserts CRC failures were actually
-  // caught and healed via integrity NAKs, not that no frame was corrupted.
-  std::uint64_t crc_stamped = 0;
-  std::uint64_t crc_failures = 0;
-  std::uint64_t integrity_naks = 0;
-  std::uint64_t integrity_retransmits = 0;
-  std::uint64_t integrity_exhausted = 0;
-  std::uint64_t crc_storms = 0;
+  // Plane exercise counters, summed over every context at quiesce: every
+  // channel's ChannelStats, every HealthStats and every ContextStats
+  // counter. Shape tests use them to prove a schedule actually drove its
+  // plane (detector and breaker, drain cycles, inline sends, CRC failures
+  // healed by integrity NAKs), not just that no oracle fired.
+  core::ChannelStats chan;
+  core::HealthStats health;
+  core::ContextCounters ctx;
   // Delivery anomalies observed on flows WITHOUT negotiated CRC protection
   // under corruption_shape — the legacy expected-fail class, tolerated and
   // counted instead of failing the run.

@@ -12,15 +12,6 @@ namespace xrdma::check {
 
 namespace {
 
-constexpr const char* kOpNames[] = {"open", "close", "send", "call"};
-
-std::optional<OpKind> op_kind_from_string(std::string_view name) {
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (name == kOpNames[i]) return static_cast<OpKind>(i);
-  }
-  return std::nullopt;
-}
-
 struct SlotKey {
   std::uint8_t src, dst, slot;
   bool operator<(const SlotKey& o) const {
@@ -40,11 +31,6 @@ std::vector<std::uint32_t> size_buckets(const ScheduleParams& p) {
 }
 
 }  // namespace
-
-const char* to_string(OpKind kind) {
-  const auto i = static_cast<std::size_t>(kind);
-  return i < 4 ? kOpNames[i] : "unknown";
-}
 
 Schedule generate_schedule(std::uint64_t seed, ScheduleParams params) {
   if (params.num_hosts < 2) params.num_hosts = 2;
@@ -226,13 +212,13 @@ std::string serialize_schedule(const Schedule& s) {
       << " mixedver " << (p.mixed_versions ? 1 : 0) << " batching "
       << p.batch_shape << " crcshape " << p.corruption_shape << "\n";
   for (const Op& op : s.ops) {
-    out << "op " << op.at << " " << to_string(op.kind) << " "
+    out << "op " << op.at << " " << kOpKindNames.name(op.kind) << " "
         << unsigned{op.src} << " " << unsigned{op.dst} << " "
         << unsigned{op.slot} << " " << op.size << " " << op.tag << "\n";
   }
   for (const FaultOp& f : s.faults) {
-    out << "fault " << f.at << " " << analysis::to_string(f.kind) << " "
-        << unsigned{f.node} << " " << unsigned{f.src} << " "
+    out << "fault " << f.at << " " << analysis::kFaultKindNames.name(f.kind)
+        << " " << unsigned{f.node} << " " << unsigned{f.src} << " "
         << unsigned{f.dst} << " " << unsigned{f.slot} << " " << f.delay
         << "\n";
   }
@@ -286,7 +272,7 @@ bool deserialize_schedule(const std::string& text, Schedule& out) {
       unsigned src = 0, dst = 0, slot = 0;
       ls >> op.at >> kind >> src >> dst >> slot >> op.size >> op.tag;
       if (!ls) return false;
-      const auto k = op_kind_from_string(kind);
+      const auto k = kOpKindNames.parse(kind);
       if (!k) return false;
       op.kind = *k;
       op.src = static_cast<std::uint8_t>(src);
@@ -299,7 +285,7 @@ bool deserialize_schedule(const std::string& text, Schedule& out) {
       unsigned node = 0, src = 0, dst = 0, slot = 0;
       ls >> f.at >> kind >> node >> src >> dst >> slot >> f.delay;
       if (!ls) return false;
-      const auto k = analysis::fault_kind_from_string(kind);
+      const auto k = analysis::kFaultKindNames.parse(kind);
       if (!k) return false;
       f.kind = *k;
       f.node = static_cast<std::uint8_t>(node);

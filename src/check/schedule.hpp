@@ -17,13 +17,17 @@
 #include <vector>
 
 #include "analysis/filter.hpp"
+#include "common/enum_names.hpp"
 #include "common/time.hpp"
 
 namespace xrdma::check {
 
-enum class OpKind : std::uint8_t { open, close, send, call };
+#define XRDMA_OP_KINDS(X)                                                     \
+  X(open, "open") X(close, "close") X(send, "send") X(call, "call")
 
-const char* to_string(OpKind kind);
+enum class OpKind : std::uint8_t { XRDMA_OP_KINDS(XRDMA_ENUM_ID) };
+inline constexpr auto kOpKindNames =
+    enum_names<OpKind>({XRDMA_OP_KINDS(XRDMA_ENUM_NAME)});
 
 /// One workload operation. Channels are addressed by (src, dst, slot):
 /// node `src` dials node `dst`, and `slot` distinguishes parallel channels

@@ -72,6 +72,14 @@ class RingBuffer {
     while (!empty()) pop();
   }
 
+  /// Frees the storage of an empty ring. capacity() reads 0 afterwards, so
+  /// the ring stays full and push() fails.
+  void release() {
+    assert(empty());
+    std::vector<T>().swap(slots_);
+    mask_ = 0;
+  }
+
  private:
   std::vector<T> slots_;
   std::size_t mask_ = 0;

@@ -11,43 +11,49 @@
 #include <utility>
 #include <variant>
 
+#include "common/enum_names.hpp"
+
 namespace xrdma {
 
-enum class Errc {
-  ok = 0,
-  // Generic.
-  invalid_argument,
-  not_found,
-  already_exists,
-  resource_exhausted,
-  unavailable,
-  timed_out,
-  cancelled,
-  internal,
-  // Verbs / RNIC analogues of ibv_wc_status.
-  local_length_error,      // IBV_WC_LOC_LEN_ERR
-  local_protection_error,  // IBV_WC_LOC_PROT_ERR
-  wr_flush_error,          // IBV_WC_WR_FLUSH_ERR
-  remote_access_error,     // IBV_WC_REM_ACCESS_ERR
-  remote_invalid_request,  // IBV_WC_REM_INV_REQ_ERR
-  rnr_retry_exceeded,      // IBV_WC_RNR_RETRY_EXC_ERR
-  transport_retry_exceeded,// IBV_WC_RETRY_EXC_ERR
-  remote_operation_error,  // IBV_WC_REM_OP_ERR
-  // Connection management.
-  connection_refused,
-  connection_reset,
-  peer_dead,               // raised by keepalive
-  // Middleware.
-  window_full,             // seq-ack window has no free slot
-  channel_closed,
-  payload_too_large,
-  bad_message,             // framing / header validation failed
-  would_block,             // bounded tx queue is full; wait for on_writable
-  overloaded,              // server shed the request; back off and retry
-  integrity_error,         // e2e CRC retries exhausted; data-plane corruption
-};
+#define XRDMA_ERRCS(X)                                                        \
+  X(ok, "ok")                                                                 \
+  /* Generic. */                                                              \
+  X(invalid_argument, "invalid_argument")                                     \
+  X(not_found, "not_found")                                                   \
+  X(already_exists, "already_exists")                                         \
+  X(resource_exhausted, "resource_exhausted")                                 \
+  X(unavailable, "unavailable")                                               \
+  X(timed_out, "timed_out")                                                   \
+  X(cancelled, "cancelled")                                                   \
+  X(internal, "internal")                                                     \
+  /* Verbs / RNIC analogues of ibv_wc_status (IBV_WC_*). */                   \
+  X(local_length_error, "local_length_error")         /* LOC_LEN_ERR */       \
+  X(local_protection_error, "local_protection_error") /* LOC_PROT_ERR */      \
+  X(wr_flush_error, "wr_flush_error")                 /* WR_FLUSH_ERR */      \
+  X(remote_access_error, "remote_access_error")       /* REM_ACCESS_ERR */    \
+  X(remote_invalid_request, "remote_invalid_request") /* REM_INV_REQ_ERR */   \
+  X(rnr_retry_exceeded, "rnr_retry_exceeded")         /* RNR_RETRY_EXC_ERR */ \
+  X(transport_retry_exceeded, "transport_retry_exceeded") /* RETRY_EXC_ERR */ \
+  X(remote_operation_error, "remote_operation_error") /* REM_OP_ERR */        \
+  /* Connection management. */                                                \
+  X(connection_refused, "connection_refused")                                 \
+  X(connection_reset, "connection_reset")                                     \
+  X(peer_dead, "peer_dead") /* raised by keepalive */                         \
+  /* Middleware. */                                                           \
+  X(window_full, "window_full") /* seq-ack window has no free slot */         \
+  X(channel_closed, "channel_closed")                                         \
+  X(payload_too_large, "payload_too_large")                                   \
+  X(bad_message, "bad_message") /* framing / header validation failed */      \
+  X(would_block, "would_block") /* tx queue full; wait for on_writable */     \
+  X(overloaded, "overloaded") /* server shed the request; back off, retry */  \
+  X(integrity_error, "integrity_error") /* e2e CRC retries exhausted */
 
-std::string_view errc_name(Errc e);
+enum class Errc { XRDMA_ERRCS(XRDMA_ENUM_ID) };
+
+inline constexpr auto kErrcNames =
+    enum_names<Errc>({XRDMA_ERRCS(XRDMA_ENUM_NAME)});
+
+inline std::string_view errc_name(Errc e) { return kErrcNames.name(e); }
 
 /// Minimal expected-like result carrier. Success stores T, failure an Errc.
 template <typename T>

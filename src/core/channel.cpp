@@ -32,13 +32,10 @@ Channel::Channel(Context& ctx, verbs::Qp qp, net::NodeId peer,
       peer_(peer),
       id_(id),
       swin_(send_depth),
-      rwin_(ctx.config().window_depth) {
-  keepalive_timer_ = std::make_unique<sim::DeadlineTimer>(
-      ctx_.engine(), [this] { keepalive_fire(); });
-  recovery_timer_ = std::make_unique<sim::DeadlineTimer>(
-      ctx_.engine(), [this] { recovery_timer_fire(); });
-  mem_retry_timer_ = std::make_unique<sim::DeadlineTimer>(
-      ctx_.engine(), [this] { mem_retry_fire(); });
+      rwin_(ctx.config().window_depth),
+      mem_retry_timer_(ctx.engine(), [this] { mem_retry_fire(); }),
+      keepalive_timer_(ctx.engine(), [this] { keepalive_fire(); }),
+      recovery_timer_(ctx.engine(), [this] { recovery_timer_fire(); }) {
   recovery_rng_.reseed(ctx_.trace_epoch() ^ (id * 0x9e3779b97f4a7c15ULL));
 }
 
@@ -68,7 +65,7 @@ void Channel::init_established() {
   const Nanos now = ctx_.engine().now();
   last_tx_ = last_rx_ = last_alive_ = now;
   post_bounce_buffers();
-  keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
+  keepalive_timer_.arm_after(ctx_.config().keepalive_intv);
 }
 
 void Channel::post_bounce_buffers() {
@@ -481,7 +478,7 @@ void Channel::post_data(const WireHeader& hdr, verbs::SendWr wr) {
     }
   }
   wr.wr_id = ctx_.register_wr(
-      {Context::WrInfo::Kind::data_send, id_, 0, 0, transient, false});
+      {WrKind::data_send, id_, 0, 0, transient, false});
   wr.opcode = verbs::Opcode::send_imm;  // imm carries the ACK low bits (§V-B)
   wr.imm = static_cast<std::uint32_t>(rwin_.last_ack_sent());
   // Software send-path cost (plus the tracing tax in req-rsp mode, plus the
@@ -573,7 +570,7 @@ void Channel::post_control(std::uint16_t flags, std::uint64_t aux_id,
 
   verbs::SendWr wr;
   wr.wr_id = ctx_.register_wr(
-      {Context::WrInfo::Kind::ctrl_send, id_, 0, flags, block, false});
+      {WrKind::ctrl_send, id_, 0, flags, block, false});
   wr.opcode = verbs::Opcode::send_imm;
   wr.imm = static_cast<std::uint32_t>(rwin_.last_ack_sent());
   wr.local = {block.addr, hdr.wire_size(), block.lkey};
@@ -714,7 +711,7 @@ void Channel::on_send_wc_control(std::uint16_t flags) {
   if (flags & kFlagAckOnly) ack_inflight_ = false;
   if (flags & kFlagNop) nop_inflight_ = false;
   if ((flags & kFlagFin) && state_ == State::closing) {
-    recovery_timer_->cancel();  // the FIN deadline
+    recovery_timer_.cancel();  // the FIN deadline
     set_state(State::closed);
     reclaim_windows();
     ctx_.channel_detach_qp(*this);  // before release_qp clears the QP num
@@ -732,15 +729,14 @@ void Channel::reclaim_windows() {
   pending_tx_bytes_ = 0;
   tx_blocked_ = false;
   retransmit_pending_ = false;
-  mem_retry_timer_->cancel();
+  mem_retry_timer_.cancel();
   swin_.process_ack(swin_.next_seq(),
                     [this](Seq, TxEntry& e) { free_tx_entry(e); });
   rwin_.for_each_pending([this](Seq, RxState& r) {
     if (r.payload_block.valid()) ctx_.data_cache_.free(r.payload_block);
-    r.payload_block = MemBlock{};
-    r.pull_deferred = false;
-    r.pull_failed = false;
   });
+  swin_.release();
+  rwin_.release();
   ctx_.purge_channel_wrs(id_);
 }
 
@@ -750,7 +746,7 @@ void Channel::reclaim_windows() {
 void Channel::on_recv_wc(const verbs::Wc& wc) {
   if (wc.status != Errc::ok) return;  // flush during teardown
   if (wc.wr_id >= bounce_.size()) return;
-  const MemBlock& block = bounce_[static_cast<std::size_t>(wc.wr_id)];
+  const MemBlock block = bounce_[static_cast<std::size_t>(wc.wr_id)];
   const std::uint8_t* bytes = ctx_.ctrl_cache_.data(block);
   if (bytes) process_wire(bytes, wc.byte_len);
   // Re-arm the bounce buffer immediately (run-to-complete), keeping the
@@ -1006,8 +1002,8 @@ void Channel::retry_deferred_pulls() {
 }
 
 void Channel::arm_mem_retry() {
-  if (!mem_retry_timer_->armed()) {
-    mem_retry_timer_->arm_after(kMemRetryInterval);
+  if (!mem_retry_timer_.armed()) {
+    mem_retry_timer_.arm_after(kMemRetryInterval);
   }
 }
 
@@ -1044,7 +1040,7 @@ void Channel::issue_pull_frags(Seq seq, RxState& rx) {
     const std::uint32_t n = std::min(frag, len - off);
     verbs::SendWr wr;
     wr.wr_id = ctx_.register_wr(
-        {Context::WrInfo::Kind::read_frag, id_, seq, 0, MemBlock{}, false});
+        {WrKind::read_frag, id_, seq, 0, MemBlock{}, false});
     wr.opcode = verbs::Opcode::read;
     wr.local = {rx.payload_block.addr + off, n, rx.payload_block.lkey};
     wr.remote_addr = rx.hdr.rv_addr + off;
@@ -1234,7 +1230,7 @@ void Channel::keepalive_fire() {
       return;
     }
     if (now - last_tx_ >= cfg.keepalive_intv) post_control(kFlagNop);
-    keepalive_timer_->arm_after(rearm);
+    keepalive_timer_.arm_after(rearm);
     return;
   }
 
@@ -1243,7 +1239,7 @@ void Channel::keepalive_fire() {
   if (idle < cfg.keepalive_intv) {
     // Activity since the probe was armed: push the deadline out (lazy
     // re-arm keeps the hot path free of timer churn).
-    keepalive_timer_->arm_after(cfg.keepalive_intv - idle);
+    keepalive_timer_.arm_after(cfg.keepalive_intv - idle);
     return;
   }
   // Silence is judged from the oldest unanswered probe, not from the last
@@ -1260,7 +1256,7 @@ void Channel::keepalive_fire() {
   // RDMA-enabled memory (§V-A).
   verbs::SendWr wr;
   wr.wr_id = ctx_.register_wr(
-      {Context::WrInfo::Kind::keepalive, id_, 0, 0, MemBlock{}, false});
+      {WrKind::keepalive, id_, 0, 0, MemBlock{}, false});
   wr.opcode = verbs::Opcode::write;
   if (qp_.post_send(wr) == Errc::ok) {
     ++stats_.doorbells;
@@ -1271,7 +1267,7 @@ void Channel::keepalive_fire() {
   } else {
     ctx_.release_wr(wr.wr_id);
   }
-  keepalive_timer_->arm_after(rearm);
+  keepalive_timer_.arm_after(rearm);
 }
 
 void Channel::on_keepalive_wc(Errc status) {
@@ -1321,7 +1317,7 @@ void Channel::close() {
   // FIN deadline: nothing else watches a closing channel (keepalive stands
   // down), so a FIN that dies with its QP — post failure or a lost WC —
   // would otherwise park the channel in `closing` forever.
-  recovery_timer_->arm_after(ctx_.config().keepalive_timeout);
+  recovery_timer_.arm_after(ctx_.config().keepalive_timeout);
 }
 
 void Channel::abort_calls(Errc reason) {
@@ -1336,8 +1332,8 @@ void Channel::fail(Errc reason) {
   if (state_ == State::error || state_ == State::closed) return;
   set_state(State::error, reason);
   ctx_.trigger_dump(analysis::TrigReason::channel_death);
-  keepalive_timer_->cancel();
-  recovery_timer_->cancel();
+  keepalive_timer_.cancel();
+  recovery_timer_.cancel();
   if (tx_override_) {
     restoring_ = true;
     ctx_.restore_fallback(*this);
@@ -1366,7 +1362,7 @@ void Channel::handle_transport_fault(Errc reason) {
       shed_qp();
       // release_qp cancelled the keepalive timer, but it now watches the
       // fallback stream: keep it running.
-      keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
+      keepalive_timer_.arm_after(ctx_.config().keepalive_intv);
     }
     return;
   }
@@ -1396,7 +1392,7 @@ void Channel::start_recovery(Errc reason) {
   record(analysis::RecEvent::recovery_start, static_cast<std::uint16_t>(reason),
          recovery_budget_);
   ++stats_.recoveries_started;
-  keepalive_timer_->cancel();
+  keepalive_timer_.cancel();
   keepalive_outstanding_ = false;
   keepalive_posted_ = 0;
   ack_inflight_ = false;
@@ -1411,7 +1407,7 @@ void Channel::start_recovery(Errc reason) {
     const Nanos horizon =
         (ctx_.cm().costs().connect_timeout + 64 * cfg.recovery_backoff) *
         (cfg.recovery_max_attempts + 1);
-    recovery_timer_->arm_after(std::max<Nanos>(millis(50), horizon));
+    recovery_timer_.arm_after(std::max<Nanos>(millis(50), horizon));
   }
 }
 
@@ -1425,7 +1421,7 @@ bool Channel::park_for_drain() {
   const Nanos left = ctx_.health().drain_remaining(peer_);
   if (left <= 0) return false;
   ++stats_.drain_recovery_parks;
-  recovery_timer_->arm_after(std::max(left, ctx_.config().recovery_backoff));
+  recovery_timer_.arm_after(std::max(left, ctx_.config().recovery_backoff));
   return true;
 }
 
@@ -1457,7 +1453,7 @@ void Channel::schedule_recovery_attempt() {
   }
   // Capped exponential backoff with +/-25% jitter so a fabric event does
   // not produce a synchronized reconnect storm.
-  recovery_timer_->arm_after(
+  recovery_timer_.arm_after(
       backoff_with_jitter(cfg.recovery_backoff, recovery_attempt_,
                           recovery_rng_));
 }
@@ -1549,7 +1545,7 @@ void Channel::resume_adopt(verbs::Qp qp, Seq peer_rta) {
     // hasn't surfaced here yet): drop ours first.
     shed_qp();
   }
-  recovery_timer_->cancel();
+  recovery_timer_.cancel();
   qp_ = std::move(qp);
   set_state(State::established);
   ctx_.channel_attach_qp(*this);
@@ -1559,7 +1555,7 @@ void Channel::resume_adopt(verbs::Qp qp, Seq peer_rta) {
   last_tx_ = last_rx_ = last_alive_ = now;
   keepalive_outstanding_ = false;
   keepalive_posted_ = 0;
-  keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
+  keepalive_timer_.arm_after(ctx_.config().keepalive_intv);
 
   // The resume handshake is authoritative proof of life; if it was a
   // half-open probe, the breaker closes and parked siblings get nudged.
@@ -1617,7 +1613,7 @@ void Channel::arm_rdma_probe() {
   // Flap suppression: a peer that keeps restore-then-failing sits on the
   // fallback for its (exponentially escalating) hold-down before the next
   // RDMA probe.
-  recovery_timer_->arm_after(
+  recovery_timer_.arm_after(
       std::max(std::max<Nanos>(millis(1), 16 * cfg.recovery_backoff),
                ctx_.health().probe_holddown(peer_)));
 }
@@ -1628,15 +1624,15 @@ void Channel::nudge_probe() {
   // says otherwise).
   if (state_ != State::established || !mocked() || !connector_) return;
   if (resume_inflight_) return;
-  recovery_timer_->arm_after(std::max(ctx_.config().recovery_backoff,
-                                      ctx_.health().probe_holddown(peer_)));
+  recovery_timer_.arm_after(std::max(ctx_.config().recovery_backoff,
+                                     ctx_.health().probe_holddown(peer_)));
 }
 
 void Channel::on_fallback_attached() {
   if (state_ != State::recovering) return;  // manual switch: nothing to replay
   set_state(State::established);
   record(analysis::RecEvent::fallback_attach);
-  recovery_timer_->cancel();
+  recovery_timer_.cancel();
   const Nanos now = ctx_.engine().now();
   last_tx_ = last_rx_ = last_alive_ = now;
   // The keepalive watches the fallback stream from here on (NOP exchange
@@ -1644,7 +1640,7 @@ void Channel::on_fallback_attached() {
   // stream would never be noticed.
   keepalive_outstanding_ = false;
   keepalive_posted_ = 0;
-  keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
+  keepalive_timer_.arm_after(ctx_.config().keepalive_intv);
   ++stats_.recoveries_completed;
   ++ctx_.stats().channels_recovered;
   if (recovery_started_ > 0) {
@@ -1697,9 +1693,9 @@ void Channel::restart_pending_pulls() {
 }
 
 void Channel::release_qp(bool recycle) {
-  keepalive_timer_->cancel();
+  keepalive_timer_.cancel();
   for (const MemBlock& block : bounce_) ctx_.ctrl_cache_.free(block);
-  bounce_.clear();
+  std::vector<MemBlock>().swap(bounce_);
   if (!qp_.valid()) return;
   if (recycle) {
     // Immediate RESET + recycle (§IV-E): the next connection skips QP

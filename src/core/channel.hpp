@@ -29,11 +29,11 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "analysis/recorder.hpp"
 #include "common/bytes.hpp"
+#include "common/enum_names.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "core/memcache.hpp"
@@ -47,15 +47,18 @@ namespace xrdma::core {
 
 class Context;
 
+// Channel states, named as xr_stat and xr_triage print them.
+#define XRDMA_CHANNEL_STATES(X)                                               \
+  X(established, "ESTABLISHED")                                               \
+  /* Transport fault: QP resume / fallback escalation running. */             \
+  X(recovering, "RECOVERING")                                                 \
+  X(closing, "CLOSING")                                                       \
+  X(closed, "CLOSED")                                                         \
+  X(error, "ERROR")
+
 class Channel {
  public:
-  enum class State : std::uint8_t {
-    established,
-    recovering,  // transport fault: QP resume / fallback escalation running
-    closing,
-    closed,
-    error,
-  };
+  enum class State : std::uint8_t { XRDMA_CHANNEL_STATES(XRDMA_ENUM_ID) };
 
   using MsgHandler = std::function<void(Channel&, Msg&&)>;
   using ErrorHandler = std::function<void(Channel&, Errc)>;
@@ -295,6 +298,8 @@ class Channel {
   /// half-pulled rendezvous payloads, and purges this channel's WRs. A
   /// channel closed with traffic still in flight (its ACK was lost) must
   /// not keep those blocks — the X-Check balance oracle found the leak.
+  /// It then frees the window storage: the Context keeps closed channels
+  /// (their stats still count), and each held ~21 KB of rings.
   void reclaim_windows();
 
   // Recovery (§VI-C). Any transport-level fault funnels through
@@ -334,7 +339,7 @@ class Channel {
   std::uint64_t pending_tx_bytes_ = 0;
   bool tx_blocked_ = false;          // a send was rejected; edge for writable
   bool retransmit_pending_ = false;  // retransmit parked on memory pressure
-  std::unique_ptr<sim::DeadlineTimer> mem_retry_timer_;
+  sim::DeadlineTimer mem_retry_timer_;
   bool ack_inflight_ = false;
   bool nop_inflight_ = false;
   bool fin_sent_ = false;
@@ -350,7 +355,7 @@ class Channel {
   };
   std::map<std::uint64_t, PendingCall> calls_;
 
-  std::unique_ptr<sim::DeadlineTimer> keepalive_timer_;
+  sim::DeadlineTimer keepalive_timer_;
   bool keepalive_outstanding_ = false;
   Nanos keepalive_posted_ = 0;  // post time of the outstanding probe (RTT)
   Nanos last_alive_ = 0;  // last hardware-level proof the peer RNIC lives
@@ -370,7 +375,7 @@ class Channel {
   std::uint32_t recovery_attempt_ = 0;
   std::uint32_t recovery_budget_ = 0;
   Nanos recovery_started_ = 0;
-  std::unique_ptr<sim::DeadlineTimer> recovery_timer_;
+  sim::DeadlineTimer recovery_timer_;
   Rng recovery_rng_;  // backoff jitter (seeded per channel, deterministic)
   bool resume_inflight_ = false;
   bool restoring_ = false;  // deliberate fallback teardown in progress
@@ -382,5 +387,8 @@ class Channel {
   WritableHandler on_writable_;
   ChannelStats stats_;
 };
+
+inline constexpr auto kChannelStateNames =
+    enum_names<Channel::State>({XRDMA_CHANNEL_STATES(XRDMA_ENUM_NAME)});
 
 }  // namespace xrdma::core

@@ -11,12 +11,19 @@
 #include <map>
 #include <string>
 
+#include "common/enum_names.hpp"
 #include "common/status.hpp"
 #include "common/time.hpp"
 
 namespace xrdma::core {
 
-enum class PollMode : std::uint8_t { busy, hybrid, event };
+#define XRDMA_POLL_MODES(X)                                                   \
+  X(busy, "busy") X(hybrid, "hybrid") X(event, "event")
+
+enum class PollMode : std::uint8_t { XRDMA_POLL_MODES(XRDMA_ENUM_ID) };
+inline constexpr auto kPollModeNames =
+    enum_names<PollMode>({XRDMA_POLL_MODES(XRDMA_ENUM_NAME)});
+
 enum class QpBufType : std::uint8_t { huge_page, anony_page, malloc_mem };
 
 struct Config {

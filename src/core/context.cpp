@@ -601,13 +601,13 @@ void Context::dispatch_send_wc(const verbs::Wc& wc) {
   }
   Channel* ch = channel_by_id(info.channel_id);
   switch (info.kind) {
-    case WrInfo::Kind::data_send:
+    case WrKind::data_send:
       // A transient egress-corruption copy rides in info.block (the
       // retained wire block is owned by the send window, never here).
       if (info.block.valid()) ctrl_cache_.free(info.block);
       if (wc.status != Errc::ok && ch) ch->handle_transport_fault(wc.status);
       break;
-    case WrInfo::Kind::ctrl_send:
+    case WrKind::ctrl_send:
       if (info.block.valid()) ctrl_cache_.free(info.block);
       if (ch) {
         if (wc.status != Errc::ok) {
@@ -617,10 +617,10 @@ void Context::dispatch_send_wc(const verbs::Wc& wc) {
         }
       }
       break;
-    case WrInfo::Kind::read_frag:
+    case WrKind::read_frag:
       if (ch) ch->on_read_frag_done(info.seq, wc.status);
       break;
-    case WrInfo::Kind::keepalive:
+    case WrKind::keepalive:
       if (ch) ch->on_keepalive_wc(wc.status);
       break;
   }
@@ -809,15 +809,6 @@ void Context::scan_tick() {
   recorder_.set_sample_mask(cfg_.recorder_sample_mask);
 }
 
-const char* to_string(Lifecycle s) {
-  switch (s) {
-    case Lifecycle::active: return "active";
-    case Lifecycle::draining: return "draining";
-    case Lifecycle::drained: return "drained";
-  }
-  return "unknown";
-}
-
 void Context::begin_drain() {
   if (lifecycle_ != Lifecycle::active) return;
   recorder_.log(engine().now(), analysis::RecEvent::lifecycle_state,
@@ -872,7 +863,7 @@ void Context::drain_progress() {
 void Context::trigger_dump(analysis::TrigReason reason) {
   recorder_.log(engine().now(), analysis::RecEvent::trigger,
                 static_cast<std::uint16_t>(reason));
-  if (dump_hook_) dump_hook_(*this, analysis::to_string(reason));
+  if (dump_hook_) dump_hook_(*this, analysis::kTrigReasonNames.name(reason));
 }
 
 TraceReport Context::trace_request(const Msg& msg) const {

@@ -24,6 +24,7 @@
 #include <unordered_map>
 
 #include "analysis/recorder.hpp"
+#include "common/enum_names.hpp"
 #include "core/channel.hpp"
 #include "core/config.hpp"
 #include "core/fd.hpp"
@@ -44,9 +45,24 @@ namespace xrdma::core {
 /// restart. Clearing the lifecycle_drain flag models the restart
 /// (drained -> active; peers reconnect through CM with renegotiated
 /// protocol versions).
-enum class Lifecycle : std::uint8_t { active, draining, drained };
+#define XRDMA_LIFECYCLES(X)                                                   \
+  X(active, "active") X(draining, "draining") X(drained, "drained")
 
-const char* to_string(Lifecycle s);
+enum class Lifecycle : std::uint8_t { XRDMA_LIFECYCLES(XRDMA_ENUM_ID) };
+inline constexpr auto kLifecycleNames =
+    enum_names<Lifecycle>({XRDMA_LIFECYCLES(XRDMA_ENUM_NAME)});
+
+/// Work requests the context's registry tracks; a `wr_sample` flight
+/// record carries the kind as its code.
+#define XRDMA_WR_KINDS(X)                                                     \
+  X(data_send, "data_send") /* windowed message SEND */                       \
+  X(ctrl_send, "ctrl_send") /* ack / nop / fin */                             \
+  X(read_frag, "read_frag") /* rendezvous pull fragment */                    \
+  X(keepalive, "keepalive") /* zero-byte write probe */
+
+enum class WrKind : std::uint8_t { XRDMA_WR_KINDS(XRDMA_ENUM_ID) };
+inline constexpr auto kWrKindNames =
+    enum_names<WrKind>({XRDMA_WR_KINDS(XRDMA_ENUM_NAME)});
 
 /// What xrdma_trace_req returns for a traced message (§VI-A method I).
 struct TraceReport {
@@ -224,13 +240,7 @@ class Context : private sim::Engine::QuietOwner {
 
   // Work-request registry: send-CQ completions carry a wr_id minted here.
   struct WrInfo {
-    enum class Kind : std::uint8_t {
-      data_send,   // windowed message SEND
-      ctrl_send,   // ack / nop / fin
-      read_frag,   // rendezvous pull fragment
-      keepalive,   // zero-byte write probe
-    };
-    Kind kind = Kind::data_send;
+    WrKind kind = WrKind::data_send;
     std::uint64_t channel_id = 0;
     Seq seq = 0;               // read_frag: message being pulled
     std::uint16_t flags = 0;   // ctrl_send

@@ -31,17 +31,6 @@ constexpr double kPhiMax = 40.0;
 
 }  // namespace
 
-const char* to_string(PeerState state) {
-  switch (state) {
-    case PeerState::healthy: return "healthy";
-    case PeerState::suspect: return "suspect";
-    case PeerState::degraded: return "degraded";
-    case PeerState::dead: return "dead";
-    case PeerState::draining: return "draining";
-  }
-  return "?";
-}
-
 void HealthMonitor::rec_log(analysis::RecEvent ev, std::uint16_t code,
                             std::uint32_t peer, std::uint64_t a,
                             std::uint64_t b) {

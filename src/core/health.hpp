@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "analysis/recorder.hpp"
+#include "common/enum_names.hpp"
 #include "common/histogram.hpp"
 #include "common/time.hpp"
 #include "core/config.hpp"
@@ -36,15 +37,16 @@ namespace xrdma::core {
 // `draining` is not a severity rung: a peer that announced a graceful drain
 // is leaving on purpose, so suspicion, dead declarations and breaker trips
 // are suppressed for its announced window instead of escalating.
-enum class PeerState : std::uint8_t {
-  healthy,
-  suspect,
-  degraded,
-  dead,
-  draining,
-};
+#define XRDMA_PEER_STATES(X)                                                  \
+  X(healthy, "healthy")                                                       \
+  X(suspect, "suspect")                                                       \
+  X(degraded, "degraded")                                                     \
+  X(dead, "dead")                                                             \
+  X(draining, "draining")
 
-const char* to_string(PeerState state);
+enum class PeerState : std::uint8_t { XRDMA_PEER_STATES(XRDMA_ENUM_ID) };
+inline constexpr auto kPeerStateNames =
+    enum_names<PeerState>({XRDMA_PEER_STATES(XRDMA_ENUM_NAME)});
 
 /// Read-only snapshot of one peer's health, for tools (xr_stat / xr_ping)
 /// and tests.

@@ -14,6 +14,7 @@
 #include <map>
 
 #include "analysis/recorder.hpp"
+#include "common/enum_names.hpp"
 #include "rnic/rnic.hpp"
 
 namespace xrdma::core {
@@ -40,7 +41,12 @@ struct MemCacheConfig {
 /// Occupancy ladder for graceful degradation (§VI): `soft` sheds new
 /// rendezvous pulls and triggers shrink, `hard` sheds all new data work and
 /// keeps only the control plane.
-enum class MemPressure { normal = 0, soft = 1, hard = 2 };
+#define XRDMA_MEM_PRESSURES(X)                                                \
+  X(normal, "normal") X(soft, "soft") X(hard, "hard")
+
+enum class MemPressure { XRDMA_MEM_PRESSURES(XRDMA_ENUM_ID) };
+inline constexpr auto kMemPressureNames =
+    enum_names<MemPressure>({XRDMA_MEM_PRESSURES(XRDMA_ENUM_NAME)});
 
 struct MemCacheStats {
   std::uint64_t occupied_bytes = 0;  // registered capacity

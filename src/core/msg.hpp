@@ -16,6 +16,7 @@
 #include <cstring>
 
 #include "common/bytes.hpp"
+#include "common/enum_names.hpp"
 #include "common/time.hpp"
 
 namespace xrdma::core {
@@ -49,12 +50,15 @@ enum ProtoFeatures : std::uint32_t {
 
 /// Why decode() refused a buffer. Distinguishable so triage can name a
 /// version-skew kill instead of folding it into generic corruption.
-enum class HdrDecode : std::uint8_t {
-  ok = 0,
-  too_short = 1,
-  bad_magic = 2,
-  bad_version = 3,  // outside [kVersionMin, kVersionMax]
-};
+#define XRDMA_HDR_DECODES(X)                                                  \
+  X(ok, "ok")                                                                 \
+  X(too_short, "too_short")                                                   \
+  X(bad_magic, "bad_magic")                                                   \
+  X(bad_version, "bad_version") /* outside [kVersionMin, kVersionMax] */
+
+enum class HdrDecode : std::uint8_t { XRDMA_HDR_DECODES(XRDMA_ENUM_ID) };
+inline constexpr auto kHdrDecodeNames =
+    enum_names<HdrDecode>({XRDMA_HDR_DECODES(XRDMA_ENUM_NAME)});
 
 struct WireHeader {
   static constexpr std::uint32_t kMagic = 0x58524d41;  // "XRMA"

@@ -3,9 +3,10 @@
 //
 // Every std::uint64_t counter is declared once, in the X-macro list of its
 // struct, as X(field, "plane.name"): the member's name and the registry
-// name analysis::ContextMetrics exports it under. The members, the
-// ChannelStats sum and the export loop all expand from these lists; add a
-// counter here and it is exported with nothing else to edit.
+// name analysis::ContextMetrics exports it under. The members, the sums
+// and the export loop all expand from these lists; add a counter here and
+// it is exported, summed and listed in xr_stat_json with nothing else to
+// edit.
 #pragma once
 
 #include <cstdint>
@@ -117,47 +118,44 @@
 
 #define XRDMA_COUNTER_MEMBER(field, name) std::uint64_t field = 0;
 #define XRDMA_COUNTER_VISIT(field, name) f(name, s.field);
+#define XRDMA_COUNTER_ADD(field, name) field += o.field;
+
+// What every counter struct expands from its list: the members, a static
+// for_each(s, f) calling f("plane.name", counter) for every counter of `s`
+// in order, and a counter-by-counter +=.
+#define XRDMA_COUNTER_STRUCT(Struct, LIST)                                    \
+  LIST(XRDMA_COUNTER_MEMBER)                                                  \
+  template <typename Self, typename F>                                        \
+  static void for_each(Self& s, F&& f) {                                      \
+    LIST(XRDMA_COUNTER_VISIT)                                                 \
+  }                                                                           \
+  Struct& operator+=(const Struct& o) {                                       \
+    LIST(XRDMA_COUNTER_ADD)                                                   \
+    return *this;                                                             \
+  }
 
 namespace xrdma::core {
 
 struct ChannelStats {
-  XRDMA_CHANNEL_COUNTERS(XRDMA_COUNTER_MEMBER)
-
-  /// Calls f("plane.name", counter) for every counter of `s`, in order.
-  template <typename Self, typename F>
-  static void for_each(Self& s, F&& f) {
-    XRDMA_CHANNEL_COUNTERS(XRDMA_COUNTER_VISIT)
-  }
-  ChannelStats& operator+=(const ChannelStats& o) {
-#define XRDMA_COUNTER_ADD(field, name) field += o.field;
-    XRDMA_CHANNEL_COUNTERS(XRDMA_COUNTER_ADD)
-#undef XRDMA_COUNTER_ADD
-    return *this;
-  }
+  XRDMA_COUNTER_STRUCT(ChannelStats, XRDMA_CHANNEL_COUNTERS)
 };
 
 /// Context-wide health-plane counters (aggregated across peers by the
 /// HealthMonitor; X-Check oracles 11/12 read these).
 struct HealthStats {
-  XRDMA_HEALTH_COUNTERS(XRDMA_COUNTER_MEMBER)
-
-  template <typename Self, typename F>
-  static void for_each(Self& s, F&& f) {
-    XRDMA_HEALTH_COUNTERS(XRDMA_COUNTER_VISIT)
-  }
+  XRDMA_COUNTER_STRUCT(HealthStats, XRDMA_HEALTH_COUNTERS)
 };
 
-struct ContextStats {
-  XRDMA_CONTEXT_COUNTERS(XRDMA_COUNTER_MEMBER)
+/// The counters of ContextStats alone: the part that sums across contexts.
+struct ContextCounters {
+  XRDMA_COUNTER_STRUCT(ContextCounters, XRDMA_CONTEXT_COUNTERS)
+};
+
+struct ContextStats : ContextCounters {
   Nanos worst_poll_gap = 0;
   Histogram drain_latency;  // ns, begin_drain -> drained
   Histogram rpc_latency;  // ns, across all channels
   Histogram recovery_latency;  // ns, fault detection -> channel usable again
-
-  template <typename Self, typename F>
-  static void for_each(Self& s, F&& f) {
-    XRDMA_CONTEXT_COUNTERS(XRDMA_COUNTER_VISIT)
-  }
 };
 
 }  // namespace xrdma::core

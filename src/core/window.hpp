@@ -25,11 +25,10 @@ using Seq = std::uint64_t;
 template <typename T>
 class SendWindow {
  public:
-  explicit SendWindow(std::uint32_t depth) : ring_(depth) {}
+  explicit SendWindow(std::uint32_t depth)
+      : ring_(depth), depth_(static_cast<std::uint32_t>(ring_.capacity())) {}
 
-  std::uint32_t depth() const {
-    return static_cast<std::uint32_t>(ring_.capacity());
-  }
+  std::uint32_t depth() const { return depth_; }
   bool full() const { return ring_.full(); }
   bool empty() const { return ring_.empty(); }
   std::size_t inflight() const { return ring_.size(); }
@@ -69,8 +68,13 @@ class SendWindow {
     for (Seq s = tx_acked_; s < tx_seq_; ++s) fn(s, *find(s));
   }
 
+  /// Channel teardown: frees the ring of a fully acked window. The edges
+  /// and depth keep their values; push() fails from then on.
+  void release() { ring_.release(); }
+
  private:
   RingBuffer<T> ring_;
+  std::uint32_t depth_;
   Seq tx_seq_ = 0;    // next sequence number to assign
   Seq tx_acked_ = 0;  // everything below is retired
 };
@@ -80,11 +84,12 @@ class SendWindow {
 template <typename R>
 class RecvWindow {
  public:
-  explicit RecvWindow(std::uint32_t depth) : slots_(round_up(depth)) {
-    mask_ = slots_.size() - 1;
-  }
+  explicit RecvWindow(std::uint32_t depth)
+      : slots_(round_up(depth)),
+        mask_(slots_.size() - 1),
+        depth_(static_cast<std::uint32_t>(slots_.size())) {}
 
-  std::uint32_t depth() const { return static_cast<std::uint32_t>(slots_.size()); }
+  std::uint32_t depth() const { return depth_; }
   Seq wta() const { return rx_wta_; }
   Seq rta() const { return rx_rta_; }
   /// The ACK value to piggyback on the next outgoing message.
@@ -116,7 +121,7 @@ class RecvWindow {
   /// advance RTA over every contiguous completed message, invoking
   /// `deliver` for each in order.
   void complete(Seq seq, const std::function<void(Seq, R&)>& deliver) {
-    if (seq < rx_rta_ || seq >= rx_wta_) return;
+    if (!held(seq)) return;
     slot(seq).complete = true;
     while (rx_rta_ < rx_wta_ && slot(rx_rta_).complete) {
       Slot& s = slot(rx_rta_);
@@ -128,17 +133,21 @@ class RecvWindow {
   }
 
   R* find(Seq seq) {
-    if (seq < rx_rta_ || seq >= rx_wta_) return nullptr;
+    if (!held(seq)) return nullptr;
     Slot& s = slot(seq);
     return s.occupied ? &s.state : nullptr;
   }
 
   /// Visit every arrived-but-undelivered message (channel teardown).
   void for_each_pending(const std::function<void(Seq, R&)>& fn) {
-    for (Seq s = rx_rta_; s < rx_wta_; ++s) {
+    for (Seq s = rx_rta_; held(s); ++s) {
       if (slot(s).occupied) fn(s, slot(s).state);
     }
   }
+
+  /// Channel teardown: frees the slots. The edges and depth keep their
+  /// values; from then on nothing arrives, completes or is visited.
+  void release() { std::vector<Slot>().swap(slots_); }
 
  private:
   struct Slot {
@@ -152,9 +161,14 @@ class RecvWindow {
     return cap;
   }
   Slot& slot(Seq seq) { return slots_[static_cast<std::size_t>(seq) & mask_]; }
+  /// Arrived and not yet delivered, in a window that still has its slots.
+  bool held(Seq seq) const {
+    return seq >= rx_rta_ && seq < rx_wta_ && !slots_.empty();
+  }
 
   std::vector<Slot> slots_;
   std::size_t mask_;
+  std::uint32_t depth_;
   Seq rx_wta_ = 0;    // next arrival expected ("wait to ack" edge)
   Seq rx_rta_ = 0;    // everything below is complete ("ready to ack")
   Seq rx_acked_ = 0;  // last RTA actually communicated to the peer

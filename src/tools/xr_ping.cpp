@@ -132,7 +132,7 @@ std::string xr_ping_health(analysis::ContextMetrics& metrics) {
     const auto state =
         static_cast<core::PeerState>(static_cast<int>(reg.value(p + "state")));
     os << strfmt("%-6u %-9s %8.2f %10.1f %11.1f %11.1f %6.0f %9.0f %5.0f\n",
-                 peer, core::to_string(state), reg.value(p + "phi"),
+                 peer, core::kPeerStateNames.name(state), reg.value(p + "phi"),
                  reg.value(p + "bound_us"), reg.value(p + "rtt_p50_us"),
                  reg.value(p + "rtt_p99_us"), reg.value(p + "flaps"),
                  reg.value(p + "holddown_level"), reg.value(p + "channels"));

@@ -8,28 +8,6 @@
 
 namespace xrdma::tools {
 
-namespace {
-const char* pressure_name(core::MemPressure p) {
-  switch (p) {
-    case core::MemPressure::normal: return "normal";
-    case core::MemPressure::soft: return "soft";
-    case core::MemPressure::hard: return "hard";
-  }
-  return "?";
-}
-
-const char* state_name(core::Channel::State s) {
-  switch (s) {
-    case core::Channel::State::established: return "ESTABLISHED";
-    case core::Channel::State::recovering: return "RECOVERING";
-    case core::Channel::State::closing: return "CLOSING";
-    case core::Channel::State::closed: return "CLOSED";
-    case core::Channel::State::error: return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
 std::string xr_stat(core::Context& ctx) {
   std::ostringstream os;
   os << strfmt("%-6s %-6s %-12s %10s %10s %12s %12s %8s %8s %6s %6s %5s "
@@ -43,7 +21,8 @@ std::string xr_stat(core::Context& ctx) {
     os << strfmt("%-6u %-6u %-12s %10llu %10llu %12llu %12llu %8zu %8zu "
                  "%6llu %6llu %5llu %5llu %5llu %5llu %6llu %5llu %5llu "
                  "%5llu %5llu\n",
-                 ch->peer_node(), ch->qp_num(), state_name(ch->state()),
+                 ch->peer_node(), ch->qp_num(),
+                 core::kChannelStateNames.name(ch->state()),
                  static_cast<unsigned long long>(s.msgs_tx),
                  static_cast<unsigned long long>(s.msgs_rx),
                  static_cast<unsigned long long>(s.bytes_tx),
@@ -102,7 +81,7 @@ std::string xr_stat_summary(core::Context& ctx) {
                                                data.guard_violations));
   os << strfmt("  overload: pressure=%s queued_tx=%llu soft_events=%llu "
                "hard_events=%llu reserve_denials=%llu ctrl_starved=%llu\n",
-               pressure_name(ctx.mem_pressure()),
+               core::kMemPressureNames.name(ctx.mem_pressure()),
                static_cast<unsigned long long>(ctx.queued_tx_bytes()),
                static_cast<unsigned long long>(cs.pressure_soft_events),
                static_cast<unsigned long long>(cs.pressure_hard_events),
@@ -110,7 +89,7 @@ std::string xr_stat_summary(core::Context& ctx) {
                                                data.reserve_denials),
                static_cast<unsigned long long>(ctrl.privileged_alloc_fails));
   os << strfmt("  lifecycle: state=%s drains=%llu/%llu rejects=%llu\n",
-               core::to_string(ctx.lifecycle()),
+               core::kLifecycleNames.name(ctx.lifecycle()),
                static_cast<unsigned long long>(cs.drains_completed),
                static_cast<unsigned long long>(cs.drains_started),
                static_cast<unsigned long long>(cs.lifecycle_rejects));
@@ -177,44 +156,27 @@ std::string xr_stat_json(core::Context& ctx) {
   os << strfmt("{\"node\":%u,\"channels\":[", ctx.node());
   bool first = true;
   for (core::Channel* ch : ctx.channels()) {
-    const auto& s = ch->stats();
     os << (first ? "" : ",")
        << strfmt("{\"peer\":%u,\"qp\":%u,\"state\":\"%s\","
                  "\"proto_version\":%u,\"proto_features\":%u,"
-                 "\"peer_draining\":%s,"
-                 "\"msgs_tx\":%llu,\"msgs_rx\":%llu,"
-                 "\"bytes_tx\":%llu,\"bytes_rx\":%llu,"
-                 "\"inflight\":%zu,\"queued\":%zu,"
-                 "\"recoveries\":%llu,\"fallback_switches\":%llu,"
-                 "\"tx_would_block\":%llu,\"naks\":%llu,\"tx_shed\":%llu,"
-                 "\"crc_stamped\":%llu,\"crc_failures\":%llu,"
-                 "\"integrity_naks\":%llu,\"integrity_retransmits\":%llu,"
-                 "\"integrity_exhausted\":%llu}",
-                 ch->peer_node(), ch->qp_num(), state_name(ch->state()),
+                 "\"peer_draining\":%s,\"inflight\":%zu,\"queued\":%zu",
+                 ch->peer_node(), ch->qp_num(),
+                 core::kChannelStateNames.name(ch->state()),
                  static_cast<unsigned>(ch->proto_version()),
                  static_cast<unsigned>(ch->proto_features()),
                  ctx.health().peer_draining(ch->peer_node()) ? "true"
                                                              : "false",
-                 static_cast<unsigned long long>(s.msgs_tx),
-                 static_cast<unsigned long long>(s.msgs_rx),
-                 static_cast<unsigned long long>(s.bytes_tx),
-                 static_cast<unsigned long long>(s.bytes_rx),
-                 ch->inflight_msgs(), ch->queued_msgs(),
-                 static_cast<unsigned long long>(s.recoveries_completed),
-                 static_cast<unsigned long long>(s.fallback_switches),
-                 static_cast<unsigned long long>(s.tx_would_block),
-                 static_cast<unsigned long long>(s.naks_tx + s.naks_rx),
-                 static_cast<unsigned long long>(s.tx_shed),
-                 static_cast<unsigned long long>(s.crc_stamped_tx),
-                 static_cast<unsigned long long>(s.crc_failures_rx),
-                 static_cast<unsigned long long>(s.integrity_naks_tx +
-                                                 s.integrity_naks_rx),
-                 static_cast<unsigned long long>(s.integrity_retransmits),
-                 static_cast<unsigned long long>(s.integrity_exhausted));
+                 ch->inflight_msgs(), ch->queued_msgs());
+    core::ChannelStats::for_each(
+        ch->stats(), [&os](const char* name, std::uint64_t v) {
+          os << strfmt(",\"%s\":%llu", name,
+                       static_cast<unsigned long long>(v));
+        });
+    os << "}";
     first = false;
   }
   os << strfmt("],\"lifecycle\":\"%s\",\"metrics\":{",
-               core::to_string(ctx.lifecycle()));
+               core::kLifecycleNames.name(ctx.lifecycle()));
   analysis::ContextMetrics metrics(ctx);
   const auto snap = metrics.registry().snapshot();
   first = true;

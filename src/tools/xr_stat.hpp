@@ -29,9 +29,12 @@ std::string xr_stat_fabric(const net::Fabric& fabric);
 std::string xr_stat_metrics(core::Context& ctx);
 
 /// --json: the machine-readable form. One object with the node id, a
-/// per-channel array (same rows as xr_stat) and the full scalar metrics
-/// snapshot keyed by registry name. Keys are emitted sorted, numbers as
-/// JSON numbers, so output is deterministic and diffable.
+/// per-channel array and the full scalar metrics snapshot keyed by
+/// registry name. Each channel object carries its peer, QP, state,
+/// negotiated protocol, peer drain flag and window occupancy, then every
+/// ChannelStats counter under its registry name ("chan.msgs_tx", ...) in
+/// declaration order. Metrics keys are emitted sorted, numbers as JSON
+/// numbers, so output is deterministic and diffable.
 std::string xr_stat_json(core::Context& ctx);
 
 /// --trace: per-stage latency-decomposition table (p50/p99 per stage,

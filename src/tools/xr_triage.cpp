@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "core/context.hpp"
 
 namespace xrdma::tools {
 
@@ -11,46 +12,8 @@ namespace {
 using analysis::Rec;
 using analysis::RecEvent;
 using analysis::TrigReason;
-
-// Decoding tables kept local (by value, not enum) so a triage build can
-// still render dumps from a build with different core headers.
-const char* chan_state_name(std::uint64_t s) {
-  switch (s) {
-    case 0: return "ESTABLISHED";
-    case 1: return "RECOVERING";
-    case 2: return "CLOSING";
-    case 3: return "CLOSED";
-    case 4: return "ERROR";
-  }
-  return "?";
-}
-
-const char* peer_state_name(std::uint64_t s) {
-  switch (s) {
-    case 0: return "healthy";
-    case 1: return "suspect";
-    case 2: return "degraded";
-    case 3: return "dead";
-  }
-  return "?";
-}
-
-const char* pressure_name(std::uint64_t p) {
-  switch (p) {
-    case 0: return "normal";
-    case 1: return "soft";
-    case 2: return "hard";
-  }
-  return "?";
-}
-
-std::string errc_str(std::uint64_t e) {
-  return std::string(errc_name(static_cast<Errc>(e)));
-}
-
-const char* trig_reason_name(std::uint16_t r) {
-  return analysis::to_string(static_cast<TrigReason>(r));
-}
+using core::kChannelStateNames;
+using core::kPeerStateNames;
 
 const Rec* last_of(const std::vector<Rec>& recs, RecEvent type) {
   for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
@@ -65,13 +28,14 @@ std::string describe_record(const analysis::Dump& dump, const Rec& rec) {
   switch (static_cast<RecEvent>(rec.type)) {
     case RecEvent::chan_state:
       return strfmt("channel %u: %s -> %s%s", rec.chan,
-                    chan_state_name(rec.a), chan_state_name(rec.code),
-                    rec.b ? strfmt(" (cause %s)", errc_str(rec.b).c_str())
-                              .c_str()
+                    kChannelStateNames.name(rec.a),
+                    kChannelStateNames.name(rec.code),
+                    rec.b ? strfmt(" (cause %s)", kErrcNames.name(rec.b))
+                                .c_str()
                           : "");
     case RecEvent::recovery_start:
       return strfmt("channel %u: recovery started, fault=%s budget=%llu",
-                    rec.chan, errc_str(rec.code).c_str(),
+                    rec.chan, kErrcNames.name(rec.code),
                     static_cast<unsigned long long>(rec.a));
     case RecEvent::recovery_attempt:
       return strfmt("channel %u: resume attempt %llu", rec.chan,
@@ -92,7 +56,8 @@ std::string describe_record(const analysis::Dump& dump, const Rec& rec) {
       return strfmt("channel %u: retry skipped, breaker open", rec.chan);
     case RecEvent::health_grade:
       return strfmt("peer %u: health %s -> %s", rec.chan,
-                    peer_state_name(rec.a), peer_state_name(rec.code));
+                    kPeerStateNames.name(rec.a),
+                    kPeerStateNames.name(rec.code));
     case RecEvent::peer_dead:
       return strfmt("peer %u: DECLARED DEAD by channel %u", rec.chan,
                     rec.code);
@@ -109,10 +74,10 @@ std::string describe_record(const analysis::Dump& dump, const Rec& rec) {
                     format_duration(static_cast<Nanos>(rec.a)).c_str());
     case RecEvent::cm_connect:
       return strfmt("CM connect to peer %u: %s", rec.chan,
-                    errc_str(rec.code).c_str());
+                    kErrcNames.name(rec.code));
     case RecEvent::cm_resume:
       return strfmt("CM resume to peer %u: %s (channel %llu)", rec.chan,
-                    errc_str(rec.code).c_str(),
+                    kErrcNames.name(rec.code),
                     static_cast<unsigned long long>(rec.a));
     case RecEvent::overload_shed:
       return strfmt("channel %u: send SHED under hard pressure (%llu bytes)",
@@ -132,8 +97,9 @@ std::string describe_record(const analysis::Dump& dump, const Rec& rec) {
       return strfmt("channel %u: tx deferred on alloc failure (%llu queued)",
                     rec.chan, static_cast<unsigned long long>(rec.a));
     case RecEvent::pressure:
-      return strfmt("memory pressure %s -> %s", pressure_name(rec.a),
-                    pressure_name(rec.code));
+      return strfmt("memory pressure %s -> %s",
+                    core::kMemPressureNames.name(rec.a),
+                    core::kMemPressureNames.name(rec.code));
     case RecEvent::watchdog_trip:
       return strfmt("poll-gap watchdog TRIP: gap %s > threshold %s",
                     format_duration(static_cast<Nanos>(rec.a)).c_str(),
@@ -143,12 +109,10 @@ std::string describe_record(const analysis::Dump& dump, const Rec& rec) {
                     static_cast<unsigned long long>(rec.a),
                     static_cast<unsigned long long>(rec.b));
     case RecEvent::wr_sample:
-      return strfmt("channel %u: wr completion sample kind=%u seq=%llu%s",
-                    rec.chan, rec.code,
+      return strfmt("channel %u: wr completion sample kind=%s seq=%llu%s",
+                    rec.chan, core::kWrKindNames.name(rec.code),
                     static_cast<unsigned long long>(rec.a),
-                    rec.b ? strfmt(" STATUS %llu",
-                                   static_cast<unsigned long long>(rec.b))
-                                .c_str()
+                    rec.b ? strfmt(" STATUS %s", kErrcNames.name(rec.b)).c_str()
                           : "");
     case RecEvent::mem_grow:
       return strfmt("%s memcache: grew MR, occupied now %llu bytes",
@@ -188,7 +152,34 @@ std::string describe_record(const analysis::Dump& dump, const Rec& rec) {
                     "health scan, grading degraded",
                     rec.chan, static_cast<unsigned long long>(rec.a));
     case RecEvent::trigger:
-      return strfmt("** DUMP TRIGGER: %s **", trig_reason_name(rec.code));
+      return strfmt("** DUMP TRIGGER: %s **",
+                    analysis::kTrigReasonNames.name(rec.code));
+    case RecEvent::lifecycle_state:
+      return strfmt("node lifecycle %s -> %s",
+                    core::kLifecycleNames.name(rec.a),
+                    core::kLifecycleNames.name(rec.code));
+    case RecEvent::drain_rx:
+      return strfmt("peer %u: announced DRAIN on channel %llu, retry after %s",
+                    rec.chan, static_cast<unsigned long long>(rec.b),
+                    format_duration(static_cast<Nanos>(rec.a)).c_str());
+    case RecEvent::hdr_version_reject:
+      return strfmt("channel %u: header REFUSED (%s, %llu bytes)", rec.chan,
+                    core::kHdrDecodeNames.name(rec.code),
+                    static_cast<unsigned long long>(rec.a));
+    case RecEvent::proto_negotiated: {
+      // b packs the peer's version range: min in bits 0-15, max in 16-31.
+      const std::string range =
+          strfmt("peer speaks v%llu..v%llu",
+                 static_cast<unsigned long long>(rec.b & 0xffff),
+                 static_cast<unsigned long long>((rec.b >> 16) & 0xffff));
+      if (rec.code == 0) {
+        return strfmt("peer %u: NO common wire version (%s)", rec.chan,
+                      range.c_str());
+      }
+      return strfmt("peer %u: negotiated wire v%u, features 0x%llx (%s)",
+                    rec.chan, rec.code, static_cast<unsigned long long>(rec.a),
+                    range.c_str());
+    }
     default:
       // Foreign event: fall back to the file's own name table.
       return strfmt("%s code=%u chan=%u a=%llu b=%llu",
@@ -225,8 +216,8 @@ TriageReport xr_triage(const analysis::Dump& dump,
             death ? strfmt("channel %u died at %s: %s -> ERROR, cause %s",
                            death->chan,
                            format_duration(death->t).c_str(),
-                           chan_state_name(death->a),
-                           errc_str(death->b).c_str())
+                           kChannelStateNames.name(death->a),
+                           kErrcNames.name(death->b))
                   : "channel death trigger without a recorded transition";
         break;
       }

@@ -2,6 +2,7 @@
 // triggers on live contexts, and the xr_triage post-mortem decoder.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -312,6 +313,63 @@ TEST(Triage, FileWorkflowAndTailLimit) {
   EXPECT_EQ(lines, 2u);
 
   EXPECT_FALSE(tools::xr_triage_file(path + ".missing").ok());
+}
+
+// A DRAIN announcement grades the peer `draining`; the triage line names
+// the grade from the health plane's own list.
+TEST(Triage, HealthGradeIntoDrainingRendersDraining) {
+  Pair t;
+  t.establish();
+  t.run(millis(5));
+  t.server.begin_drain();
+  t.run(millis(5));
+  const Dump d = analysis::snapshot_dump(t.client, "manual");
+  const Rec* grade = nullptr;
+  for (const Rec& r : d.records) {
+    if (r.type == static_cast<std::uint16_t>(RecEvent::health_grade) &&
+        r.code == static_cast<std::uint16_t>(core::PeerState::draining)) {
+      grade = &r;
+    }
+  }
+  ASSERT_NE(grade, nullptr);
+  EXPECT_EQ(tools::describe_record(d, *grade),
+            "peer 1: health healthy -> draining");
+}
+
+// Walks the declared event list: every id carries its own name in an
+// encoded dump's name table, and triage has a line of its own for every
+// event the stack logs. Exempt: `none` (the zero value, never logged) and
+// `batch_flush` (reserved, no longer logged).
+TEST(Triage, EveryDeclaredEventIsNamedInDumpsAndDescribed) {
+  constexpr auto& kNames = analysis::kRecEventNames;
+  Dump in;
+  for (std::uint16_t id = 0; id <= kNames.size; ++id) {  // one past the list
+    in.records.push_back({.t = id, .type = id, .code = 1, .chan = 2, .a = 3});
+  }
+  const std::vector<std::uint8_t> bytes = analysis::encode_xrd(in);
+  Dump d;
+  ASSERT_TRUE(analysis::decode_xrd(bytes.data(), bytes.size(), d));
+  ASSERT_EQ(d.event_names.size(), kNames.size);
+  std::set<std::string> distinct;
+  for (std::uint16_t id = 0; id < kNames.size; ++id) {
+    EXPECT_EQ(d.event_names[id].first, id);
+    EXPECT_EQ(d.event_names[id].second, kNames.names[id]);
+    distinct.insert(d.event_names[id].second);
+  }
+  EXPECT_EQ(distinct.size(), kNames.size);
+  EXPECT_EQ(distinct.count("unknown"), 0u);
+
+  for (const Rec& r : d.records) {
+    const std::string generic = d.event_name(r.type) + " code=";
+    const bool described = tools::describe_record(d, r).rfind(generic, 0) != 0;
+    if (r.type == static_cast<std::uint16_t>(RecEvent::none) ||
+        r.type == static_cast<std::uint16_t>(RecEvent::batch_flush) ||
+        r.type == kNames.size) {
+      EXPECT_FALSE(described) << generic;  // the generic fallback line
+    } else {
+      EXPECT_TRUE(described) << generic;
+    }
+  }
 }
 
 }  // namespace

@@ -384,8 +384,19 @@ TEST(XrStat, JsonIsWellFormedAndCarriesChannelsAndMetrics) {
             std::string::npos);
   EXPECT_NE(json.find("\"peer\":1"), std::string::npos);
   EXPECT_NE(json.find("\"state\":\"ESTABLISHED\""), std::string::npos);
-  EXPECT_NE(json.find("\"msgs_tx\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"chan.msgs_tx\":3"), std::string::npos);
+  // Every ChannelStats counter rides in the channel object under its
+  // registry name, ahead of the metrics map.
+  const std::string channels = json.substr(0, json.find("],\"lifecycle\""));
+  EXPECT_NE(channels.find("\"chan.msgs_tx\":3"), std::string::npos);
+  core::ChannelStats::for_each(
+      t.client_ch->stats(), [&](const char* name, std::uint64_t v) {
+        EXPECT_NE(channels.find(strfmt("\"%s\":%llu", name,
+                                       static_cast<unsigned long long>(v))),
+                  std::string::npos)
+            << name;
+      });
+  EXPECT_NE(json.find("\"chan.msgs_tx\":3", channels.size()),
+            std::string::npos);  // and the metrics map's sum
   // Lifecycle plane: node state plus per-channel negotiated protocol and
   // peer drain flag.
   EXPECT_NE(json.find("\"lifecycle\":\"active\""), std::string::npos);

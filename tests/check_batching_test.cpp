@@ -47,9 +47,9 @@ TEST(BatchingShapes, BatchingSeedsSatisfyAllOracles) {
     const RunReport r = check_seed(seed, batching_params(), quiet());
     EXPECT_TRUE(r.passed()) << describe(r);
     EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
-    inlined += r.inline_sends;
-    doorbells += r.doorbells;
-    doorbell_wrs += r.doorbell_wrs;
+    inlined += r.chan.inline_sends;
+    doorbells += r.chan.doorbells;
+    doorbell_wrs += r.chan.doorbell_wrs;
   }
   // The shape exists to drive the inline fast path: across the sweep
   // inline sends must actually have fired. Every data WR rings its own
@@ -87,8 +87,8 @@ TEST(BatchingShapes, RunsAreDeterministicUnderBatching) {
   const RunReport a = run_schedule(s, opt);
   const RunReport b = run_schedule(s, opt);
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.inline_sends, b.inline_sends);
-  EXPECT_EQ(a.doorbells, b.doorbells);
+  EXPECT_EQ(a.chan.inline_sends, b.chan.inline_sends);
+  EXPECT_EQ(a.chan.doorbells, b.chan.doorbells);
   EXPECT_EQ(a.violations, b.violations);
   ASSERT_EQ(a.dumps.size(), b.dumps.size());
   for (std::size_t i = 0; i < a.dumps.size(); ++i) {

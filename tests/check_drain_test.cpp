@@ -61,10 +61,10 @@ TEST(DrainShapes, DrainSeedsSatisfyAllOracles) {
     const RunReport r = check_seed(seed, drain_params(mixed), quiet());
     EXPECT_TRUE(r.passed()) << describe(r);
     EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
-    started += r.drains_started;
-    completed += r.drains_completed;
-    courtesy +=
-        r.drain_suppressions + r.drain_recovery_parks + r.lifecycle_rejects;
+    started += r.ctx.drains_started;
+    completed += r.ctx.drains_completed;
+    courtesy += r.health.drain_suppressions + r.chan.drain_recovery_parks +
+                r.ctx.lifecycle_rejects;
   }
   // The shape exists to drive the lifecycle plane: across the sweep the
   // victim must actually have entered and completed drains — a sweep that
@@ -97,9 +97,9 @@ TEST(DrainShapes, RunsAreDeterministicUnderDrainCycles) {
   const RunReport a = run_schedule(s, opt);
   const RunReport b = run_schedule(s, opt);
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.drains_started, b.drains_started);
-  EXPECT_EQ(a.drains_completed, b.drains_completed);
-  EXPECT_EQ(a.drain_suppressions, b.drain_suppressions);
+  EXPECT_EQ(a.ctx.drains_started, b.ctx.drains_started);
+  EXPECT_EQ(a.ctx.drains_completed, b.ctx.drains_completed);
+  EXPECT_EQ(a.health.drain_suppressions, b.health.drain_suppressions);
   EXPECT_EQ(a.violations, b.violations);
   ASSERT_EQ(a.dumps.size(), b.dumps.size());
   for (std::size_t i = 0; i < a.dumps.size(); ++i) {
@@ -134,7 +134,7 @@ TEST(DrainShapes, LegacyReplayFilesWithoutLifecycleKeysStillLoad) {
   EXPECT_FALSE(s.params.mixed_versions);
   const RunReport r = run_schedule(s, quiet());
   EXPECT_TRUE(r.passed()) << describe(r);
-  EXPECT_EQ(r.drains_started, 0u);
+  EXPECT_EQ(r.ctx.drains_started, 0u);
 }
 
 // Wall-clock-bounded drain-cycle soak for the nightly job (run under ASan

@@ -65,8 +65,8 @@ TEST(HealthShapes, FlapSeedsSatisfyAllOracles) {
     EXPECT_TRUE(r.passed()) << describe(r);
     EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
     EXPECT_GT(r.faults_injected, 0u) << describe(r);
-    total_dead += r.dead_declarations;
-    total_breaker_opens += r.breaker_opens;
+    total_dead += r.health.dead_declarations;
+    total_breaker_opens += r.health.breaker_opens;
   }
   // The shape exists to drive the failure detector and the breaker: across
   // the sweep somebody must actually have been declared dead and tripped a
@@ -118,7 +118,7 @@ TEST(HealthShapes, RunsAreDeterministicUnderFlap) {
   const RunReport a = run_schedule(s, quiet());
   const RunReport b = run_schedule(s, quiet());
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.dead_declarations, b.dead_declarations);
+  EXPECT_EQ(a.health.dead_declarations, b.health.dead_declarations);
   EXPECT_EQ(a.violations, b.violations);
 }
 

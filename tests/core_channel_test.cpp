@@ -278,6 +278,43 @@ TEST(Channel, GracefulCloseRecyclesQpAndNotifiesPeer) {
   EXPECT_EQ(t.client_ch->send_msg(Buffer::make(8)), Errc::channel_closed);
 }
 
+// A closed channel frees its window rings and bounce slots (the Context
+// keeps it for its stats), but its window edges and depths read exactly as
+// at close: the X-Check window oracle checks they never move backwards.
+TEST(Channel, ClosedChannelKeepsItsWindowEdgesAndDepths) {
+  Pair t;
+  t.establish();
+  t.server_ch->set_on_msg([](Channel&, Msg&&) {});
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(t.client_ch->send_msg(Buffer::make(100)), Errc::ok);
+  }
+  t.run(millis(5));
+  struct Edges {
+    Seq tx_seq, tx_acked, rx_wta, rx_rta;
+    std::uint32_t send_depth, recv_depth;
+    bool operator==(const Edges&) const = default;
+  };
+  auto edges = [](const Channel& ch) {
+    return Edges{ch.tx_seq(), ch.tx_acked(), ch.rx_wta(), ch.rx_rta(),
+                 ch.send_window_depth(), ch.recv_window_depth()};
+  };
+  const Edges client_before = edges(*t.client_ch);
+  const Edges server_before = edges(*t.server_ch);
+  EXPECT_EQ(client_before.tx_seq, 5u);
+  EXPECT_EQ(server_before.rx_rta, 5u);
+  t.client_ch->close();
+  t.run(millis(5));
+  ASSERT_EQ(t.client_ch->state(), Channel::State::closed);
+  ASSERT_EQ(t.server_ch->state(), Channel::State::closed);
+  EXPECT_EQ(edges(*t.client_ch), client_before);
+  EXPECT_EQ(edges(*t.server_ch), server_before);
+  EXPECT_TRUE(t.client_ch->quiescent());
+  EXPECT_EQ(t.client_ch->inflight_msgs(), 0u);
+  EXPECT_EQ(t.client_ch->send_msg(Buffer::make(8)), Errc::channel_closed);
+  t.run(millis(50));
+  EXPECT_EQ(edges(*t.client_ch), client_before);
+}
+
 TEST(Channel, QpCacheAcceleratesReconnect) {
   Pair t;
   t.establish();

@@ -136,6 +136,49 @@ TEST(RecvWindow, UnackedCountsCompletedSinceLastAck) {
   EXPECT_EQ(w.unacked(), 0u);
 }
 
+// A closed channel releases its window storage but keeps the edges and
+// depths the X-Check window oracle reads.
+TEST(SendWindow, ReleaseKeepsEdgesAndDepthAndRefusesPush) {
+  SendWindow<Tx> w(4);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(w.push(Tx{i}).has_value());
+  w.process_ack(3, [](Seq, Tx&) {});
+  w.release();
+  EXPECT_EQ(w.depth(), 4u);
+  EXPECT_EQ(w.next_seq(), 3u);
+  EXPECT_EQ(w.acked(), 3u);
+  EXPECT_EQ(w.inflight(), 0u);
+  EXPECT_TRUE(w.full());
+  EXPECT_FALSE(w.push(Tx{9}).has_value());
+  EXPECT_EQ(w.next_seq(), 3u);
+  EXPECT_EQ(w.find(2), nullptr);
+  int visited = 0;
+  w.for_each_inflight([&](Seq, Tx&) { ++visited; });
+  w.process_ack(5, [&](Seq, Tx&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+}
+
+TEST(RecvWindow, ReleaseKeepsEdgesAndVisitsNothing) {
+  RecvWindow<Rx> w(8);
+  auto deliver = [](Seq, Rx&) {};
+  for (Seq s = 0; s < 5; ++s) ASSERT_NE(w.arrive(s), nullptr);
+  w.complete(0, deliver);
+  w.complete(1, deliver);
+  // 2, 3 and 4 arrived and are still pending when the channel closes.
+  w.release();
+  EXPECT_EQ(w.depth(), 8u);
+  EXPECT_EQ(w.wta(), 5u);
+  EXPECT_EQ(w.rta(), 2u);
+  int visited = 0;
+  w.for_each_pending([&](Seq, Rx&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  EXPECT_EQ(w.find(3), nullptr);
+  w.complete(2, [&](Seq, Rx&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  EXPECT_EQ(w.arrive(5), nullptr);
+  EXPECT_EQ(w.wta(), 5u);
+  EXPECT_EQ(w.rta(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Property test: a full sender/receiver round trip under randomized
 // completion order and ack timing preserves exactly-once in-order delivery.
